@@ -116,14 +116,93 @@ class Theory:
         return _models(self)
 
     def canonical_text(self) -> str:
-        preds = ",".join(str(p) for p in sorted(self.predicates))
-        body = "; ".join(c.render() for c in sorted(self.clauses, key=Clause.sort_key))
-        return f"[{preds}] {body}"
+        return canonical_text(self.predicates, self.clauses)
 
     def digest(self) -> str:
-        import hashlib
+        return text_digest(self.canonical_text())
 
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
+
+@lru_cache(maxsize=1 << 12)
+def _predicate_list(predicates: frozenset[int]) -> str:
+    return ",".join(str(p) for p in sorted(predicates))
+
+
+@lru_cache(maxsize=1 << 14)
+def _rendered(c: Clause) -> tuple[tuple[tuple[int, bool], ...], str]:
+    return c.sort_key(), c.render()
+
+
+def canonical_text(predicates: frozenset[int], clauses) -> str:
+    """The canonical text of `Theory(predicates, clauses)`, without building
+    it: clauses rendered in sort-key order, each rendering cached."""
+    body = "; ".join([text for _, text in sorted(map(_rendered, clauses))])
+    return f"[{_predicate_list(predicates)}] {body}"
+
+
+def text_digest(text: str) -> str:
+    """The digest of a theory with canonical text `text`."""
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def residues(clauses, observed):
+    """The clauses reduced by the observed values (predicate -> bool).  Returns
+    the indices of the clauses the observation falsifies and, for each clause
+    it leaves open, its index -> (pos_mask, neg_mask) over the unobserved
+    predicates.  Clauses the observation satisfies are in neither."""
+    bit: dict[int, int] = {}
+    falsified = []
+    residue = {}
+    for i, c in enumerate(clauses):
+        pos = neg = 0
+        for p, pol in c.literals:
+            if p in observed:
+                if observed[p] == pol:
+                    break
+            elif pol:
+                pos |= bit.setdefault(p, 1 << len(bit))
+            else:
+                neg |= bit.setdefault(p, 1 << len(bit))
+        else:
+            if pos | neg:
+                residue[i] = (pos, neg)
+            else:
+                falsified.append(i)
+    return frozenset(falsified), residue
+
+
+def satisfiable(masks) -> bool:
+    """Whether one assignment satisfies every (pos_mask, neg_mask) clause:
+    unit propagation, then a split on a literal of a clause left open."""
+    true = false = 0
+    while True:
+        open_clauses = []
+        propagated = False
+        for pos, neg in masks:
+            if pos & true or neg & false:
+                continue
+            pos &= ~false
+            neg &= ~true
+            literals = pos | neg
+            if not literals:
+                return False
+            if literals & (literals - 1):
+                open_clauses.append((pos, neg))
+            elif pos:
+                true |= pos
+                propagated = True
+            else:
+                false |= neg
+                propagated = True
+        masks = open_clauses
+        if not propagated:
+            break
+    if not masks:
+        return True
+    pos, neg = masks[0]
+    literal = (pos | neg) & -(pos | neg)
+    return satisfiable(masks + [(literal, 0)]) or satisfiable(masks + [(0, literal)])
 
 
 def empty_theory(predicates=frozenset()) -> Theory:

@@ -1,0 +1,252 @@
+"""Repair search checked against a slow reference.
+
+`reference_propose_revisions` is the search as first written: it builds a
+`Theory` for every retraction set and asks `Theory.models` whether it is
+consistent.  The engine decides consistency on clause bitmasks instead, stops
+the deductive search early and computes ranking keys lazily; these tests hold
+it to the same ranked repairs.
+"""
+
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oee.epistemics import agent_state
+from oee.revision import (
+    RevisionStrategy,
+    StrategyKind,
+    propose_revisions,
+    symmetry_score,
+)
+from oee.rng import mix
+from oee.universe import Clause, Theory, clause, residues, satisfiable, unit
+
+# --- reference ---------------------------------------------------------------
+
+
+def reference_symmetry_score(theory: Theory) -> int:
+    """Every transposition tried on the whole clause set."""
+    preds = sorted(theory.predicates)
+    clause_set = frozenset(theory.clauses)
+    count = 0
+    for a, b in combinations(preds, 2):
+        swap = {a: b, b: a}
+        swapped = frozenset(
+            Clause(frozenset((swap.get(p, p), pol) for p, pol in c.literals))
+            for c in clause_set
+        )
+        if swapped == clause_set:
+            count += 1
+    return count
+
+
+def reference_age(retracted, n_clauses: int):
+    return tuple(sorted(n_clauses - 1 - i for i in retracted))
+
+
+def reference_key(strategy: RevisionStrategy, theory: Theory, retracted, n_clauses: int):
+    age = reference_age(retracted, n_clauses)
+    text = theory.canonical_text()
+    if strategy.kind is StrategyKind.DEDUCTIVE:
+        primary = (len(retracted), age)
+    elif strategy.kind is StrategyKind.RANDOM:
+        primary = mix(strategy.seed, int(theory.digest(), 16))
+    elif strategy.kind is StrategyKind.HEURISTIC:
+        primary = sum(len(c.literals) for c in theory.clauses)
+    else:
+        primary = -reference_symmetry_score(theory)
+    return (primary, age, text)
+
+
+def suspect_pool(theory: Theory, conflict):
+    reach = {p for p, _ in conflict}
+    suspects: set[int] = set()
+    grown = True
+    while grown:
+        grown = False
+        for i, c in enumerate(theory.clauses):
+            if i not in suspects and c.predicates() & reach:
+                suspects.add(i)
+                reach |= c.predicates()
+                grown = True
+    return sorted(suspects)
+
+
+def repair(theory: Theory, conflict, retracted) -> Theory:
+    """The theory that retracting `retracted` and recording `conflict` gives."""
+    obs_units = [unit(p, v) for p, v in sorted(conflict)]
+    kept = tuple(c for i, c in enumerate(theory.clauses) if i not in retracted)
+    return Theory(
+        theory.predicates | {p for p, _ in conflict},
+        kept + tuple(u for u in obs_units if u not in kept),
+    )
+
+
+def reference_propose_revisions(agent, conflict, strategy: RevisionStrategy, budget: int):
+    conflict = sorted(frozenset(conflict))
+    theory = agent.theory
+    n = len(theory.clauses)
+    candidates = []
+    pool_cap = max(budget * 8, 64)
+    suspects = suspect_pool(theory, conflict)
+    pools = [suspects]
+    if len(suspects) < n:
+        pools.append(list(range(n)))
+    for pool in pools:
+        for size in range(len(pool) + 1):
+            for retracted in combinations(pool, size):
+                candidate = repair(theory, conflict, retracted)
+                if candidate.models():
+                    candidates.append((retracted, candidate))
+            if len(candidates) >= pool_cap:
+                break
+        if candidates:
+            break
+    candidates.sort(key=lambda rc: reference_key(strategy, rc[1], rc[0], n))
+    ranked = []
+    seen = set()
+    for _, candidate in candidates:
+        if candidate not in seen:
+            seen.add(candidate)
+            ranked.append(candidate)
+        if len(ranked) == budget:
+            break
+    return ranked
+
+
+# --- generators ----------------------------------------------------------------
+
+PREDICATES = range(8)
+
+literal_sets = st.dictionaries(
+    st.sampled_from(PREDICATES), st.booleans(), min_size=1, max_size=3
+).map(lambda d: Clause(frozenset(d.items())))
+
+
+@st.composite
+def theories(draw):
+    clauses = draw(st.lists(literal_sets, max_size=10, unique=True))
+    if draw(st.booleans()):
+        # like an agent's theory: true at some state, so consistent
+        state = draw(st.fixed_dictionaries({p: st.booleans() for p in PREDICATES}))
+        clauses = list(dict.fromkeys(
+            c if any(state[p] == pol for p, pol in c.literals)
+            else Clause(frozenset((p, state[p] if p == min(c.predicates()) else pol)
+                                  for p, pol in c.literals))
+            for c in clauses
+        ))
+    extra = draw(st.sets(st.sampled_from(PREDICATES), max_size=2))
+    preds = frozenset(extra).union(*(c.predicates() for c in clauses))
+    return Theory(preds, tuple(clauses))
+
+
+@st.composite
+def conflicts(draw, theory):
+    """Observed literals, mostly ones that falsify a literal of the theory;
+    they may name predicates the theory lacks, and may contradict."""
+    falsifying = sorted({(p, not pol) for c in theory.clauses for p, pol in c.literals})
+    literal = st.tuples(st.integers(0, 9), st.booleans())
+    if falsifying:
+        literal = st.sampled_from(falsifying) | literal
+    return frozenset(draw(st.sets(literal, min_size=1, max_size=5)))
+
+
+def consistent(literals):
+    return frozenset(dict(sorted(literals)).items())
+
+
+strategies = st.builds(
+    RevisionStrategy, st.sampled_from(list(StrategyKind)), st.integers(0, 3)
+)
+
+
+# --- properties ------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(theories().flatmap(lambda t: st.tuples(st.just(t), conflicts(t))),
+       strategies, st.integers(1, 16))
+def test_propose_revisions_matches_reference(case, strategy, budget):
+    theory, conflict = case
+    a = agent_state(1, theory)
+    assert propose_revisions(a, conflict, strategy, budget) == \
+        reference_propose_revisions(a, conflict, strategy, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theories(), st.data())
+def test_kernel_verdict_matches_models(theory, data):
+    conflict = consistent(data.draw(conflicts(theory)))
+    retracted = data.draw(st.sets(st.sampled_from(range(len(theory.clauses)))
+                                  if theory.clauses else st.nothing()))
+    falsified, residue = residues(theory.clauses, dict(conflict))
+    verdict = falsified <= retracted and satisfiable(
+        [r for i, r in residue.items() if i not in retracted])
+    assert verdict == bool(repair(theory, conflict, retracted).models())
+
+
+@st.composite
+def symmetric_theories(draw):
+    """Theories closed under one transposition, so that some score above 0."""
+    theory = draw(theories())
+    a, b = draw(st.lists(st.sampled_from(PREDICATES), min_size=2, max_size=2, unique=True))
+    swap = {a: b, b: a}
+    swapped = (Clause(frozenset((swap.get(p, p), pol) for p, pol in c.literals))
+               for c in theory.clauses)
+    clauses = tuple(dict.fromkeys(theory.clauses + tuple(swapped)))
+    return Theory(theory.predicates | {a, b}, clauses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theories() | symmetric_theories())
+def test_symmetry_score_matches_brute_force(theory):
+    assert symmetry_score(theory) == reference_symmetry_score(theory)
+
+
+# --- the candidate set ---------------------------------------------------------
+
+
+def test_candidate_sets_follow_their_definition():
+    # p0 is observed true: the unit ~p0 must go, the seven clauses p0 | pi are
+    # satisfied whatever is kept, and p20 lies outside the suspect pool
+    conflict = {(0, True)}
+    theory = Theory(
+        frozenset(range(8)) | {20},
+        (unit(0, False),) + tuple(clause((0, True), (i, True)) for i in range(1, 8))
+        + (unit(20, True),),
+    )
+    a = agent_state(1, theory)
+    n = len(theory.clauses)
+    pool = suspect_pool(theory, conflict)
+    assert pool == list(range(8))
+    consistent = [
+        r for size in range(len(pool) + 1) for r in combinations(pool, size)
+        if repair(theory, conflict, r).models()
+    ]
+    budget = 8
+
+    # deductive: the first retraction sets in increasing (size, age) order
+    consistent.sort(key=lambda r: (len(r), reference_age(r, n)))
+    expected = [repair(theory, conflict, r) for r in consistent[:budget]]
+    assert propose_revisions(a, conflict, RevisionStrategy(StrategyKind.DEDUCTIVE), budget) \
+        == expected
+    assert expected[0] == repair(theory, conflict, (0,))
+    assert expected[1] == repair(theory, conflict, (0, 7))
+
+    # the others: every consistent retraction up to the first size level at
+    # which the count reaches max(8 * budget, 64) = 64, here 1 + 7 + 21 + 35
+    pool_cap = max(8 * budget, 64)
+    level = next(k for k in range(len(pool) + 1)
+                 if sum(len(r) <= k for r in consistent) >= pool_cap)
+    assert level == 4
+    candidates = [r for r in consistent if len(r) <= level]
+    heuristic = RevisionStrategy(StrategyKind.HEURISTIC)
+    candidates.sort(key=lambda r: reference_key(
+        heuristic, repair(theory, conflict, r), r, n))
+    ranked = propose_revisions(a, conflict, heuristic, budget)
+    assert ranked == [repair(theory, conflict, r) for r in candidates[:budget]]
+    # the fewest literals win, so without the cap the largest retractions would
+    for t in ranked:
+        assert len(t.clauses) == n - level + 1
+        assert unit(20, True) in t.clauses

@@ -2,6 +2,7 @@ import pytest
 
 from oee.epistemics import agent_state, check_theory
 from oee.revision import (
+    ContradictoryObservations,
     ExtensionClass,
     RevisionStrategy,
     StrategyKind,
@@ -86,7 +87,20 @@ def test_revise_deterministic():
         revise(a, {(1, True), (2, False)}, s).theory
 
 
+def test_revise_rejects_contradictory_observations():
+    a = agent(theory_of({0, 1}, unit(1, True)))
+    with pytest.raises(ContradictoryObservations, match="p0"):
+        revise(a, {(0, True), (0, False), (1, True)}, DEDUCTIVE)
+    assert issubclass(ContradictoryObservations, ValueError)
+
+
 # --- propose_revisions -------------------------------------------------------
+
+def test_propose_contradictory_observations_has_no_repair():
+    a = agent(theory_of({0, 1}, unit(1, True)))
+    for kind in StrategyKind:
+        assert propose_revisions(a, {(0, True), (0, False)}, RevisionStrategy(kind), 4) == []
+
 
 def test_propose_minimal_retractions_first():
     t = theory_of({0, 1}, unit(0, True), clause((0, False), (1, True)))
