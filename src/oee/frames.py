@@ -16,11 +16,10 @@ either {"formula": "p0"} or {"states": ["00", "11"]}.
 from __future__ import annotations
 
 import json
-from itertools import product
 
 from .epistemics import partition_from_classes
 from .harness import SchemaError
-from .multiagent import SharedFrame, frame_from_partitions
+from .multiagent import SharedFrame, frame_from_partitions, full_cube
 from .universe import State
 
 
@@ -30,14 +29,6 @@ def state_from_bits(bits: str, predicates) -> State:
         raise SchemaError("state", f"expected {len(preds)} bits, got {bits!r}")
     return State(
         frozenset(preds), frozenset(p for p, b in zip(preds, bits) if b == "1")
-    )
-
-
-def full_cube(predicates) -> frozenset[State]:
-    preds = sorted(predicates)
-    return frozenset(
-        State(frozenset(preds), frozenset(p for p, v in zip(preds, vals) if v))
-        for vals in product((False, True), repeat=len(preds))
     )
 
 
@@ -60,7 +51,10 @@ def load_frame(path) -> SharedFrame:
             state_from_bits(b, predicates) for b in data["ground"]
         )
     else:
-        ground = full_cube(predicates)
+        try:
+            ground = full_cube(predicates)
+        except ValueError as exc:
+            raise SchemaError("predicates", str(exc))
     partitions = {}
     for key, classes in raw_partitions.items():
         try:

@@ -6,6 +6,10 @@ predicates and coarsened back into a partition of the full shared state cube.
 Common knowledge, hierarchies, posteriors, and the agreement experiment all
 run over that frame; `validate_s5` checks the modal axioms under partition
 semantics, with a relation-based debug evaluator as the negative control.
+S5 validation works on events as bitmasks over the ground (bit k for the k-th
+state in `State.sort_key` order): each agent's accessibility becomes one
+successor mask per state, and K_i(E) is the mask of the states whose
+successor mask lies inside E.
 """
 
 from __future__ import annotations
@@ -84,12 +88,24 @@ class SharedFrame:
         return all(p == self.shared_predicates for p in self.agent_predicates.values())
 
 
-def _full_cube(predicates: frozenset[int]) -> frozenset[State]:
-    preds = sorted(predicates)
-    states = set()
-    for values in product((False, True), repeat=len(preds)):
-        states.add(State(predicates, frozenset(p for p, v in zip(preds, values) if v)))
-    return frozenset(states)
+MAX_CUBE_PREDICATES = 16
+
+
+def full_cube(predicates) -> frozenset[State]:
+    """Every total assignment over the predicates: 2^n states for n of them.
+    More than MAX_CUBE_PREDICATES predicates raise ValueError before any
+    state is built."""
+    preds = sorted(set(predicates))
+    if len(preds) > MAX_CUBE_PREDICATES:
+        raise ValueError(
+            f"full cube over {len(preds)} predicates exceeds the limit of "
+            f"{MAX_CUBE_PREDICATES} predicates ({1 << MAX_CUBE_PREDICATES} states)"
+        )
+    domain = frozenset(preds)
+    return frozenset(
+        State(domain, frozenset(p for p, v in zip(preds, values) if v))
+        for values in product((False, True), repeat=len(preds))
+    )
 
 
 def _coarsen_onto(ground: frozenset[State], projected_classes) -> Partition:
@@ -116,7 +132,7 @@ def build_shared_frame(agents: list[AgentState], depth: int) -> SharedFrame:
     if not agents:
         raise ValueError("need at least one agent")
     shared = frozenset.intersection(*(a.predicates for a in agents))
-    ground = _full_cube(shared)
+    ground = full_cube(shared)
     projected = {}
     for a in agents:
         partition = information_partition(a, depth)
@@ -302,93 +318,118 @@ def _accessible_from_partition(p: Partition):
     return {w: cls for cls in p.classes for w in cls}
 
 
-def _epistemic_extension(f: Formula, ground, access, cache) -> frozenset:
-    """States where f holds, under accessibility maps agent -> state -> set."""
-    if f in cache:
-        return cache[f]
+def _event_mask(f: Formula, states, full: int, masks: dict) -> int:
+    """Bitmask of the states where the propositional formula f holds.
+    `masks` memoises by object identity: enumerated formulas share their
+    subformulas, and the caller keeps every formula alive for the memo's
+    lifetime, so no formula is hashed."""
+    out = masks.get(id(f))
+    if out is not None:
+        return out
     if isinstance(f, Atom):
-        out = frozenset(w for w in ground if w.value(f.index))
+        out = 0
+        for k, w in enumerate(states):
+            if w.value(f.index):
+                out |= 1 << k
     elif isinstance(f, Not):
-        out = ground - _epistemic_extension(f.operand, ground, access, cache)
+        out = full & ~_event_mask(f.operand, states, full, masks)
     elif isinstance(f, And):
-        out = _epistemic_extension(f.left, ground, access, cache) & \
-            _epistemic_extension(f.right, ground, access, cache)
+        out = _event_mask(f.left, states, full, masks) & \
+            _event_mask(f.right, states, full, masks)
     elif isinstance(f, Or):
-        out = _epistemic_extension(f.left, ground, access, cache) | \
-            _epistemic_extension(f.right, ground, access, cache)
+        out = _event_mask(f.left, states, full, masks) | \
+            _event_mask(f.right, states, full, masks)
     elif isinstance(f, Implies):
-        out = (ground - _epistemic_extension(f.left, ground, access, cache)) | \
-            _epistemic_extension(f.right, ground, access, cache)
-    elif isinstance(f, Know):
-        ext = _epistemic_extension(f.operand, ground, access, cache)
-        out = frozenset(w for w in ground if access[f.agent][w] <= ext)
+        out = (full & ~_event_mask(f.left, states, full, masks)) | \
+            _event_mask(f.right, states, full, masks)
     else:
-        raise TypeError(f"unsupported in extension semantics: {f!r}")
-    cache[f] = out
+        raise TypeError(f"base formulas must be propositional: {f!r}")
+    masks[id(f)] = out
+    return out
+
+
+def _knowledge_mask(succ: list[int], event: int) -> int:
+    """K(E) = {w : succ(w) <= E}: bit k set when succ[k] lies inside event."""
+    out = 0
+    for k, s in enumerate(succ):
+        if not s & ~event:
+            out |= 1 << k
     return out
 
 
 def _validate_schemes(ground, access, agents, base_formulas) -> list[SchemeReport]:
-    cache: dict = {}
+    """Every scheme instance over the distinct events of the base formulas,
+    under accessibility maps agent -> state -> successor set (all inside the
+    ground).  Events are bitmasks over the ground in `State.sort_key` order,
+    so the lowest failing bit is the minimum counterexample state."""
+    states = sorted(ground, key=State.sort_key)
+    index = {w: k for k, w in enumerate(states)}
+    full = (1 << len(states)) - 1
+    succ = {
+        i: [sum(1 << index[v] for v in access[i][w]) for w in states] for i in agents
+    }
+    known: dict = {i: {} for i in agents}
 
-    def ext(f):
-        return _epistemic_extension(f, ground, access, cache)
+    def know(i, event):
+        memo = known[i]
+        out = memo.get(event)
+        if out is None:
+            out = memo[event] = _knowledge_mask(succ[i], event)
+        return out
 
-    # distinct extensions suffice: every scheme is extensional, so keep one
+    # distinct events suffice: every scheme is extensional, so keep the first
     # witness formula per event (at most 2^|ground| of them)
-    witnesses = {}
+    base_formulas = list(base_formulas)
+    masks: dict = {}
+    witnesses: dict = {}
     for f in base_formulas:
-        witnesses.setdefault(ext(f), f)
-    base_formulas = list(witnesses.values())
+        witnesses.setdefault(_event_mask(f, states, full, masks), f)
+    events = list(witnesses.items())
 
     reports = []
 
-    def check(name, pairs):
-        for f, bad_states in pairs:
-            if bad_states:
-                state = min(bad_states, key=State.sort_key)
-                reports.append(SchemeReport(name, False, (render(f), state)))
+    def check(name, failures, witness=lambda i, f, g: Know(i, f)):
+        for bad, i, f, g in failures:
+            if bad:
+                state = states[(bad & -bad).bit_length() - 1]
+                reports.append(SchemeReport(name, False, (render(witness(i, f, g)), state)))
                 return
         reports.append(SchemeReport(name, True))
 
     check(
         "reflection",
-        ((Know(i, f), ext(Know(i, f)) - ext(f)) for i in agents for f in base_formulas),
+        ((know(i, e) & ~e, i, f, None) for i in agents for e, f in events),
     )
     check(
         "positive-introspection",
-        (
-            (Know(i, f), ext(Know(i, f)) - ext(Know(i, Know(i, f))))
-            for i in agents
-            for f in base_formulas
-        ),
+        ((know(i, e) & ~know(i, know(i, e)), i, f, None) for i in agents for e, f in events),
     )
     check(
         "negative-introspection",
         (
-            (Know(i, f), (ground - ext(Know(i, f))) - ext(Know(i, Not(Know(i, f)))))
+            (full & ~know(i, e) & ~know(i, full & ~know(i, e)), i, f, None)
             for i in agents
-            for f in base_formulas
+            for e, f in events
         ),
     )
     check(
         "distributivity",
         (
-            (
-                Implies(f, g),
-                (ext(Know(i, Implies(f, g))) & ext(Know(i, f))) - ext(Know(i, g)),
-            )
+            (know(i, (full & ~e) | d) & know(i, e) & ~know(i, d), i, f, g)
             for i in agents
-            for f in base_formulas
-            for g in base_formulas
+            for e, f in events
+            for d, g in events
+        ),
+        lambda i, f, g: Implies(f, g),
+    )
+    check(
+        "necessitation",
+        (
+            (full & ~know(i, e) if e == full else 0, i, f, None)
+            for i in agents
+            for e, f in events
         ),
     )
-    necessitation_fail = []
-    for i in agents:
-        for f in base_formulas:
-            if ext(f) == ground and ext(Know(i, f)) != ground:
-                necessitation_fail.append((Know(i, f), ground - ext(Know(i, f))))
-    check("necessitation", necessitation_fail)
     return reports
 
 
@@ -401,7 +442,15 @@ def _s5_base_formulas(predicates: frozenset[int], depth: int):
 
 def validate_s5(frame: SharedFrame, depth: int) -> list[SchemeReport]:
     """Check reflection, both introspection schemes, distributivity, and
-    necessitation over the frame's partitions.  Closed mode only."""
+    necessitation over the frame's partitions.  Closed mode only.
+
+    Partition semantics on bitmask events: the ground is numbered in
+    `State.sort_key` order, every base formula (propositional, depth <=
+    `depth`, over the first two shared predicates) becomes the mask of the
+    states where it holds, and agent i knows E at w when w's information
+    class lies inside E, K_i(E) = {w : class_i(w) <= E}.  Each scheme is
+    checked on the masks of the distinct base events; a failure reports the
+    first failing instance's formula and its minimum state."""
     if not frame.closed:
         raise NotClosedMode("agents must share one predicate set")
     access = {
@@ -414,8 +463,22 @@ def validate_s5(frame: SharedFrame, depth: int) -> list[SchemeReport]:
 def validate_relation(ground, relation: dict, agents, predicates, depth: int):
     """Debug entry point: run the same scheme checks over an arbitrary
     accessibility relation (state -> state set) shared by the given agents.
-    Non-partition relations are expected to fail introspection."""
+    Non-partition relations are expected to fail introspection.  The
+    relation must map exactly the ground states, into the ground; anything
+    else raises GroundMismatch naming the state."""
     ground = frozenset(ground)
+    for w in sorted(ground, key=State.sort_key):
+        if w not in relation:
+            raise GroundMismatch(f"relation gives no successors for ground state {w.bits()}")
+    for w in sorted(relation, key=State.sort_key):
+        if w not in ground:
+            raise GroundMismatch(f"relation maps state {w.bits()}, which is outside the ground")
+        for v in sorted(relation[w], key=State.sort_key):
+            if v not in ground:
+                raise GroundMismatch(
+                    f"relation points from {w.bits()} to {v.bits()}, "
+                    "which is outside the ground"
+                )
     access = {i: {w: frozenset(relation[w]) for w in ground} for i in agents}
     base = _s5_base_formulas(frozenset(predicates), depth)
     return _validate_schemes(ground, access, tuple(agents), base)

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from oee.cli import main
@@ -57,6 +58,26 @@ def test_check_bad_frame_exit_2(tmp_path):
     frame.write_text(json.dumps({"predicates": [0], "partitions": {"1": [["0"]]}}))
     result = invoke("check", "--frame", str(frame), "--formula", "p0", "--at", "0")
     assert result.exit_code == 2  # classes do not cover the ground
+
+
+def test_frame_over_cube_limit_exit_2(tmp_path, monkeypatch):
+    from oee import frames, multiagent
+    from oee.harness import SchemaError
+
+    def no_states(*args):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(multiagent, "State", no_states)
+    monkeypatch.setattr(frames, "State", no_states)
+    frame = tmp_path / "f.json"
+    predicates = list(range(multiagent.MAX_CUBE_PREDICATES + 1))
+    bits = "0" * len(predicates)
+    frame.write_text(json.dumps({"predicates": predicates, "partitions": {"1": [[bits]]}}))
+    with pytest.raises(SchemaError, match="^predicates: .*limit of 16 predicates"):
+        frames.load_frame(frame)
+    result = invoke("check", "--frame", str(frame), "--formula", "p0", "--at", bits)
+    assert result.exit_code == 2
+    assert "limit of 16" in result.output or "limit of 16" in (result.stderr or "")
 
 
 def test_run_and_bins(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from oee.epistemics import agent_state, partition_from_classes
 from oee.formula import parse
 from oee.multiagent import (
+    MAX_CUBE_PREDICATES,
     DepthMismatch,
     FailsAt,
     GroundMismatch,
@@ -19,6 +20,7 @@ from oee.multiagent import (
     common_knowledge,
     disjointness,
     frame_from_partitions,
+    full_cube,
     knowledge_event,
     meet,
     posterior,
@@ -333,7 +335,36 @@ def test_s5_negative_control_non_transitive():
     relation = {w1: {w1, w2}, w2: {w2, w3}, w3: {w3}}
     reports = {r.name: r for r in validate_relation(ground, relation, [1], {0, 1}, 2)}
     assert not reports["positive-introspection"].ok
-    assert reports["positive-introspection"].counterexample is not None
+    assert reports["positive-introspection"].counterexample == ("K1 (p0 | p1)", w1)
+    assert reports["negative-introspection"].counterexample == ("K1 ~p0", w1)
+    assert all(reports[name].ok for name in ("reflection", "distributivity", "necessitation"))
+
+
+def test_validate_relation_missing_ground_state():
+    w1, w2 = state({0, 1}, {0}), state({0, 1}, {1})
+    with pytest.raises(GroundMismatch, match="01"):
+        validate_relation({w1, w2}, {w1: {w1}}, [1], {0, 1}, 1)
+
+
+def test_validate_relation_outside_ground():
+    w1, w2, w3 = state({0, 1}, {0}), state({0, 1}, {1}), state({0, 1}, set())
+    with pytest.raises(GroundMismatch, match="10 to 00"):
+        validate_relation({w1, w2}, {w1: {w1, w3}, w2: {w2}}, [1], {0, 1}, 1)
+    with pytest.raises(GroundMismatch, match="00"):
+        validate_relation({w1, w2}, {w1: {w1}, w2: {w2}, w3: {w3}}, [1], {0, 1}, 1)
+
+
+def test_full_cube_limit(monkeypatch):
+    from oee import multiagent
+
+    assert len(full_cube({0, 1, 2})) == 8
+
+    def no_states(*args):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(multiagent, "State", no_states)
+    with pytest.raises(ValueError, match=f"limit of {MAX_CUBE_PREDICATES} predicates"):
+        full_cube(range(MAX_CUBE_PREDICATES + 1))
 
 
 def test_s5_random_partition_frames():

@@ -1,0 +1,187 @@
+"""S5 validation checked against a slow reference.
+
+`reference_validate_schemes` is the scheme check as first written: it builds
+`Know`/`Implies` formula trees for every instance and evaluates them to state
+sets through a formula-keyed cache.  The engine evaluates base formulas to
+bitmasks over the ground and applies the knowledge operator to masks; these
+tests hold it to the same reports, counterexamples included.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oee.epistemics import partition_from_classes
+from oee.formula import And, Atom, Implies, Know, Not, Or, render
+from oee.multiagent import (
+    SchemeReport,
+    _accessible_from_partition,
+    _s5_base_formulas,
+    frame_from_partitions,
+    full_cube,
+    validate_relation,
+    validate_s5,
+)
+from oee.universe import State
+
+# --- reference ---------------------------------------------------------------
+
+
+def reference_extension(f, ground, access, cache) -> frozenset:
+    """States where f holds, under accessibility maps agent -> state -> set."""
+    if f in cache:
+        return cache[f]
+    if isinstance(f, Atom):
+        out = frozenset(w for w in ground if w.value(f.index))
+    elif isinstance(f, Not):
+        out = ground - reference_extension(f.operand, ground, access, cache)
+    elif isinstance(f, And):
+        out = reference_extension(f.left, ground, access, cache) & \
+            reference_extension(f.right, ground, access, cache)
+    elif isinstance(f, Or):
+        out = reference_extension(f.left, ground, access, cache) | \
+            reference_extension(f.right, ground, access, cache)
+    elif isinstance(f, Implies):
+        out = (ground - reference_extension(f.left, ground, access, cache)) | \
+            reference_extension(f.right, ground, access, cache)
+    elif isinstance(f, Know):
+        ext = reference_extension(f.operand, ground, access, cache)
+        out = frozenset(w for w in ground if access[f.agent][w] <= ext)
+    else:
+        raise TypeError(f"unsupported in extension semantics: {f!r}")
+    cache[f] = out
+    return out
+
+
+def reference_validate_schemes(ground, access, agents, base_formulas):
+    cache: dict = {}
+
+    def ext(f):
+        return reference_extension(f, ground, access, cache)
+
+    witnesses = {}
+    for f in base_formulas:
+        witnesses.setdefault(ext(f), f)
+    base_formulas = list(witnesses.values())
+
+    reports = []
+
+    def check(name, pairs):
+        for f, bad_states in pairs:
+            if bad_states:
+                state = min(bad_states, key=State.sort_key)
+                reports.append(SchemeReport(name, False, (render(f), state)))
+                return
+        reports.append(SchemeReport(name, True))
+
+    check(
+        "reflection",
+        ((Know(i, f), ext(Know(i, f)) - ext(f)) for i in agents for f in base_formulas),
+    )
+    check(
+        "positive-introspection",
+        (
+            (Know(i, f), ext(Know(i, f)) - ext(Know(i, Know(i, f))))
+            for i in agents
+            for f in base_formulas
+        ),
+    )
+    check(
+        "negative-introspection",
+        (
+            (Know(i, f), (ground - ext(Know(i, f))) - ext(Know(i, Not(Know(i, f)))))
+            for i in agents
+            for f in base_formulas
+        ),
+    )
+    check(
+        "distributivity",
+        (
+            (
+                Implies(f, g),
+                (ext(Know(i, Implies(f, g))) & ext(Know(i, f))) - ext(Know(i, g)),
+            )
+            for i in agents
+            for f in base_formulas
+            for g in base_formulas
+        ),
+    )
+    necessitation_fail = []
+    for i in agents:
+        for f in base_formulas:
+            if ext(f) == ground and ext(Know(i, f)) != ground:
+                necessitation_fail.append((Know(i, f), ground - ext(Know(i, f))))
+    check("necessitation", necessitation_fail)
+    return reports
+
+
+def reference_validate_s5(frame, depth):
+    access = {
+        i: _accessible_from_partition(frame.partition_of(i)) for i in frame.agents
+    }
+    base = _s5_base_formulas(frame.shared_predicates, depth)
+    return reference_validate_schemes(frame.ground, access, frame.agents, base)
+
+
+def reference_validate_relation(ground, relation, agents, predicates, depth):
+    ground = frozenset(ground)
+    access = {i: {w: frozenset(relation[w]) for w in ground} for i in agents}
+    base = _s5_base_formulas(frozenset(predicates), depth)
+    return reference_validate_schemes(ground, access, tuple(agents), base)
+
+
+# --- strategies --------------------------------------------------------------
+
+
+@st.composite
+def grounds(draw):
+    """1-4 states of the cube over two random atoms."""
+    domain = frozenset(draw(st.lists(st.integers(0, 15), min_size=2, max_size=2, unique=True)))
+    cube = sorted(full_cube(domain), key=State.sort_key)
+    ground = draw(st.lists(st.sampled_from(cube), min_size=1, max_size=4, unique=True))
+    return domain, ground
+
+
+@st.composite
+def frames(draw):
+    domain, ground = draw(grounds())
+    agents = draw(st.lists(st.integers(1, 63), min_size=1, max_size=3, unique=True))
+    partitions = {}
+    for agent in agents:
+        labels = draw(st.lists(st.integers(0, len(ground) - 1),
+                               min_size=len(ground), max_size=len(ground)))
+        classes = {}
+        for w, label in zip(ground, labels):
+            classes.setdefault(label, set()).add(w)
+        partitions[agent] = partition_from_classes(frozenset(ground), list(classes.values()))
+    return frame_from_partitions(domain, ground, partitions)
+
+
+@st.composite
+def relations(draw):
+    """Any relation on the ground, empty successor sets included; half of
+    them reflexive, so that introspection failures show past reflection."""
+    domain, ground = draw(grounds())
+    reflexive = draw(st.booleans())
+    relation = {}
+    for w in ground:
+        picks = draw(st.lists(st.booleans(), min_size=len(ground), max_size=len(ground)))
+        relation[w] = {v for v, pick in zip(ground, picks) if pick or (reflexive and v == w)}
+    agents = draw(st.lists(st.integers(1, 63), min_size=1, max_size=3))
+    return ground, relation, agents, domain
+
+
+# --- differential ------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames(), st.integers(0, 2))
+def test_validate_s5_matches_reference(frame, depth):
+    assert validate_s5(frame, depth) == reference_validate_s5(frame, depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations(), st.integers(0, 2))
+def test_validate_relation_matches_reference(case, depth):
+    ground, relation, agents, predicates = case
+    assert validate_relation(ground, relation, agents, predicates, depth) == \
+        reference_validate_relation(ground, relation, agents, predicates, depth)
