@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
-from .formula import Formula, Know, atoms, enumerate_sentences, evaluate, is_propositional
+from .formula import Formula, Know, atoms, enumerate_sentences, evaluate, event_mask, \
+    is_propositional
 from .universe import State, Theory
 
 
@@ -33,44 +33,25 @@ class Truth3(Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class Possible:
-    """The agent's possible: (model, theory, predicates), componentwise."""
-
-    theory: Theory
-
-    @property
-    def predicates(self) -> frozenset[int]:
-        return self.theory.predicates
-
-    @property
-    def model(self) -> tuple[State, ...]:
-        return self.theory.models()
-
-
-@dataclass(frozen=True, slots=True)
 class AgentState:
     id: int
-    possible: Possible
+    theory: Theory
     observations: frozenset[tuple[int, bool]] = frozenset()
     # (theory digest, predicate count) per revision epoch, oldest first
     history: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
         obs_preds = {p for p, _ in self.observations}
-        if not obs_preds <= self.possible.predicates:
+        if not obs_preds <= self.theory.predicates:
             raise ValueError("observation predicates must lie inside the agent language")
 
     @property
-    def theory(self) -> Theory:
-        return self.possible.theory
-
-    @property
     def predicates(self) -> frozenset[int]:
-        return self.possible.predicates
+        return self.theory.predicates
 
 
 def agent_state(agent_id: int, theory: Theory, observations=frozenset(), history=()) -> AgentState:
-    return AgentState(agent_id, Possible(theory), frozenset(observations), tuple(history))
+    return AgentState(agent_id, theory, frozenset(observations), tuple(history))
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,30 +92,28 @@ def _class_key(cls: frozenset):
     return sorted(e.sort_key() if isinstance(e, State) else (e,) for e in cls)
 
 
-@lru_cache(maxsize=1 << 18)
-def _truth_mask(f: Formula, theory: Theory) -> int:
-    """Bitmask of models of `theory` satisfying `f` (bit i = model i)."""
-    mask = 0
-    for i, state in enumerate(theory.models()):
-        if evaluate(f, state.value):
-            mask |= 1 << i
-    return mask
-
-
-def decide(agent: AgentState, f: Formula) -> Truth3:
-    """δ: truth value of a propositional sentence under the agent's theory."""
-    if not is_propositional(f):
-        raise ValueError("decide is defined for propositional sentences only")
-    if not atoms(f) <= agent.predicates:
-        return Truth3.NOT_IN_LANGUAGE
-    theory = agent.theory
-    mask = _truth_mask(f, theory)
-    full = (1 << len(theory.models())) - 1
+def truth_of_mask(mask: int, full: int) -> Truth3:
+    """The verdict on a sentence whose models among the theory's form `mask`
+    (`full` has one bit per model): TRUE when it holds in every model, FALSE
+    in none, UNDECIDABLE otherwise.  With no models both are 0: TRUE."""
     if mask == full:
         return Truth3.TRUE
     if mask == 0:
         return Truth3.FALSE
     return Truth3.UNDECIDABLE
+
+
+def decide(agent: AgentState, f: Formula) -> Truth3:
+    """δ: truth value of a propositional sentence under the agent's theory:
+    NOT_IN_LANGUAGE when it mentions a predicate outside the agent's
+    language, else `truth_of_mask` of its mask over the theory's models."""
+    if not is_propositional(f):
+        raise ValueError("decide is defined for propositional sentences only")
+    if not atoms(f) <= agent.predicates:
+        return Truth3.NOT_IN_LANGUAGE
+    models = agent.theory.models()
+    full = (1 << len(models)) - 1
+    return truth_of_mask(event_mask(f, models, full, {}), full)
 
 
 def knowledge_list(agent: AgentState, depth: int) -> list[tuple[Formula, bool]]:

@@ -1,4 +1,7 @@
-"""Formula language: terms, parsing, printing, canonical enumeration.
+"""Formula language: terms, parsing, printing, canonical enumeration, and
+evaluation, per assignment (`evaluate`) or over a list of states at once as a
+bitmask (`event_mask`, the one formula-to-mask evaluator: agents decide
+sentences and S5 validation checks schemes on its masks).
 
 Grammar (EBNF), whitespace insignificant:
 
@@ -136,6 +139,37 @@ def evaluate(f: Formula, lookup) -> bool:
     if isinstance(f, Implies):
         return (not evaluate(f.left, lookup)) or evaluate(f.right, lookup)
     raise ValueError(f"cannot evaluate epistemic operator without a frame: {render(f)}")
+
+
+def event_mask(f: Formula, states, full: int, masks: dict) -> int:
+    """Bitmask of the states where the propositional formula f holds: bit k
+    for `states[k]`, each state answering `value(index) -> bool`; `full` has
+    one bit per state.  `masks` memoises by object identity: enumerated
+    formulas share their subformulas, and the caller keeps every formula
+    alive for the memo's lifetime, so no formula is hashed."""
+    out = masks.get(id(f))
+    if out is not None:
+        return out
+    if isinstance(f, Atom):
+        out = 0
+        for k, w in enumerate(states):
+            if w.value(f.index):
+                out |= 1 << k
+    elif isinstance(f, Not):
+        out = full & ~event_mask(f.operand, states, full, masks)
+    elif isinstance(f, And):
+        out = event_mask(f.left, states, full, masks) & \
+            event_mask(f.right, states, full, masks)
+    elif isinstance(f, Or):
+        out = event_mask(f.left, states, full, masks) | \
+            event_mask(f.right, states, full, masks)
+    elif isinstance(f, Implies):
+        out = (full & ~event_mask(f.left, states, full, masks)) | \
+            event_mask(f.right, states, full, masks)
+    else:
+        raise TypeError(f"not a propositional formula: {f!r}")
+    masks[id(f)] = out
+    return out
 
 
 class ParseError(ValueError):

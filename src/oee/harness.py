@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
-from .epistemics import AgentState, Truth3, adjacent_possible, agent_state, decide
+from .epistemics import AgentState, Truth3, adjacent_possible, agent_state, decide, \
+    truth_of_mask
 from .formula import enumerate_sentences, evaluate
 from .multiagent import _jaccard
 from .revision import RevisionStrategy, StrategyKind, classify_extension, revise
@@ -196,108 +199,52 @@ class RunResult:
 # --- coverage ----------------------------------------------------------------
 
 
-def coverage_slow(agent: AgentState, revealed: frozenset[int], actual: State, depth: int) -> Fraction:
-    """Decided-correct fraction by direct enumeration (reference path)."""
-    sentences = enumerate_sentences(revealed, depth)
-    correct = 0
-    for f in sentences:
-        verdict = decide(agent, f)
-        if verdict is Truth3.TRUE and evaluate(f, actual.value):
-            correct += 1
-        elif verdict is Truth3.FALSE and not evaluate(f, actual.value):
-            correct += 1
-    return Fraction(correct, len(sentences))
-
-
-def _op_and(a, b):
-    return a and b
-
-
-def _op_or(a, b):
-    return a or b
-
-
-def _op_implies(a, b):
-    return (not a) or b
-
-
-_OPS = (_op_and, _op_or, _op_implies)
+def sentence_types(agent: AgentState, revealed: frozenset[int], actual: State, depth: int):
+    """The full mask (one bit per model of `agent.theory`) and how many
+    sentences of `enumerate_sentences(revealed, depth)` fall in each type:
+    (bitmask of the models where the sentence holds, its value at `actual`),
+    or None for every sentence with an atom outside the agent's language.
+    The counts follow the enumeration, S_d = S_0 + Not(S_{d-1}) + {And, Or,
+    Implies}(S_{d-1}^2), whose parts are disjoint because it dedupes only
+    structurally equal formulas; a compound's type is its operator applied
+    to its operands' masks and values."""
+    if not revealed or depth < 0:
+        raise ValueError("coverage needs a nonempty revealed set and a depth >= 0")
+    models = agent.theory.models()
+    full = (1 << len(models)) - 1
+    language = revealed & agent.predicates
+    masks = dict.fromkeys(language, 0)
+    for k, model in enumerate(models):
+        for p in model.true & language:
+            masks[p] |= 1 << k
+    base = Counter((masks[p], actual.value(p)) if p in masks else None for p in revealed)
+    counts = base
+    for _ in range(depth):
+        grown = Counter(base)
+        for t, n in counts.items():
+            grown[None if t is None else (full & ~t[0], not t[1])] += n
+        for (t, n), (u, k) in product(counts.items(), repeat=2):
+            if t is None or u is None:
+                grown[None] += 3 * n * k
+                continue
+            (a, x), (b, y) = t, u
+            grown[a & b, x and y] += n * k
+            grown[a | b, x or y] += n * k
+            grown[(full & ~a) | b, not x or y] += n * k
+        counts = grown
+    return full, counts
 
 
 def coverage_fraction(agent: AgentState, revealed: frozenset[int], actual: State, depth: int) -> Fraction:
-    """Decided-correct fraction of the depth-bounded sentence space over the
-    revealed predicates, against the actual state.  Combinatorial fast path
-    for depth <= 1; falls back to enumeration beyond that."""
-    if depth > 1:
-        return coverage_slow(agent, revealed, actual, depth)
-    preds = sorted(revealed)
-    m = len(preds)
-    models = agent.theory.models()
-    n_models = len(models)
-    if n_models == 0:
-        return coverage_slow(agent, revealed, actual, depth)
-    full = (1 << n_models) - 1
-    masks = {}
-    for p in preds:
-        if p in agent.predicates:
-            mask = 0
-            for i, s in enumerate(models):
-                if s.value(p):
-                    mask |= 1 << i
-            masks[p] = mask
-    # per predicate: decided value (via its model mask) and actual value
-    decided = {}  # pred -> bool decided value
-    open_preds = []  # in language but model-dependent
-    for p in preds:
-        mask = masks.get(p)
-        if mask is None:
-            continue
-        if mask == full and n_models:
-            decided[p] = True
-        elif mask == 0 and n_models:
-            decided[p] = False
-        else:
-            open_preds.append(p)
-    correct_atoms = sum(
-        1 for p, v in decided.items() if v == actual.value(p)
+    """Decided-correct fraction of `enumerate_sentences(revealed, depth)`:
+    the share of sentences the agent decides (`truth_of_mask`, as `decide`
+    does) to their value at the actual state, counted by `sentence_types`."""
+    full, counts = sentence_types(agent, revealed, actual, depth)
+    correct = sum(
+        n for t, n in counts.items()
+        if t is not None and truth_of_mask(t[0], full) is (Truth3.TRUE if t[1] else Truth3.FALSE)
     )
-    if depth == 0:
-        return Fraction(correct_atoms, m)
-    # negation of an atom is decided-correct exactly when the atom is
-    correct = 2 * correct_atoms
-    # decided x decided pairs by category counting
-    cats = {(dv, av): 0 for dv in (False, True) for av in (False, True)}
-    for p, dv in decided.items():
-        cats[(dv, actual.value(p))] += 1
-    for op in _OPS:
-        for (dv1, av1), n1 in cats.items():
-            if not n1:
-                continue
-            for (dv2, av2), n2 in cats.items():
-                if n2 and op(dv1, dv2) == op(av1, av2):
-                    correct += n1 * n2
-    # pairs involving an open predicate: resolve against the model masks
-    in_lang = [p for p in preds if p in masks]
-    ops_masks = (
-        lambda a, b: a & b,
-        lambda a, b: a | b,
-        lambda a, b: (a ^ full) | b,
-    )
-    mixed_pairs = [(a, b) for a in open_preds for b in in_lang]
-    mixed_pairs += [(a, b) for a in decided for b in open_preds]
-    for a, b in mixed_pairs:
-        for op, opm in zip(_OPS, ops_masks):
-            ext = opm(masks[a], masks[b])
-            if ext == full:
-                value = True
-            elif ext == 0:
-                value = False
-            else:
-                continue
-            if value == op(actual.value(a), actual.value(b)):
-                correct += 1
-    total = 2 * m + 3 * m * m
-    return Fraction(correct, total)
+    return Fraction(correct, sum(counts.values()))
 
 
 # --- run engine --------------------------------------------------------------
@@ -320,6 +267,8 @@ def run_full(scenario: Scenario, replicate: int) -> RunResult:
     agents: dict[int, AgentState] = {
         spec.id: agent_state(spec.id, empty_theory()) for spec in scenario.agents
     }
+    # `revise` records the digest of every theory it moves to in the history
+    empty_digest = empty_theory().digest()
     seq = 0
 
     def emit(tick, kind, agent, payload):
@@ -362,8 +311,8 @@ def run_full(scenario: Scenario, replicate: int) -> RunResult:
                 extension = classify_extension(before.theory, after.theory)
                 per_agent_revision[spec.id] = (extension, len(adjacent))
                 emit(tick, "revision", spec.id, {
-                    "old": before.theory.digest(),
-                    "new": after.theory.digest(),
+                    "old": before.history[-1][0] if before.history else empty_digest,
+                    "new": after.history[-1][0],
                     "extension": extension.value,
                     "adjacent": len(adjacent),
                 })

@@ -7,9 +7,9 @@ Common knowledge, hierarchies, posteriors, and the agreement experiment all
 run over that frame; `validate_s5` checks the modal axioms under partition
 semantics, with a relation-based debug evaluator as the negative control.
 S5 validation works on events as bitmasks over the ground (bit k for the k-th
-state in `State.sort_key` order): each agent's accessibility becomes one
-successor mask per state, and K_i(E) is the mask of the states whose
-successor mask lies inside E.
+state in `State.sort_key` order), evaluated by `formula.event_mask`: each
+agent's accessibility becomes one successor mask per state, and K_i(E) is the
+mask of the states whose successor mask lies inside E.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import product
 
 from .epistemics import AgentState, Partition, information_partition, \
     knowledge_list, partition_from_classes
-from .formula import And, Atom, Formula, Implies, Know, Not, Or, atoms, render
+from .formula import Formula, Implies, Know, atoms, event_mask, render
 from .universe import State
 
 
@@ -318,36 +318,6 @@ def _accessible_from_partition(p: Partition):
     return {w: cls for cls in p.classes for w in cls}
 
 
-def _event_mask(f: Formula, states, full: int, masks: dict) -> int:
-    """Bitmask of the states where the propositional formula f holds.
-    `masks` memoises by object identity: enumerated formulas share their
-    subformulas, and the caller keeps every formula alive for the memo's
-    lifetime, so no formula is hashed."""
-    out = masks.get(id(f))
-    if out is not None:
-        return out
-    if isinstance(f, Atom):
-        out = 0
-        for k, w in enumerate(states):
-            if w.value(f.index):
-                out |= 1 << k
-    elif isinstance(f, Not):
-        out = full & ~_event_mask(f.operand, states, full, masks)
-    elif isinstance(f, And):
-        out = _event_mask(f.left, states, full, masks) & \
-            _event_mask(f.right, states, full, masks)
-    elif isinstance(f, Or):
-        out = _event_mask(f.left, states, full, masks) | \
-            _event_mask(f.right, states, full, masks)
-    elif isinstance(f, Implies):
-        out = (full & ~_event_mask(f.left, states, full, masks)) | \
-            _event_mask(f.right, states, full, masks)
-    else:
-        raise TypeError(f"base formulas must be propositional: {f!r}")
-    masks[id(f)] = out
-    return out
-
-
 def _knowledge_mask(succ: list[int], event: int) -> int:
     """K(E) = {w : succ(w) <= E}: bit k set when succ[k] lies inside event."""
     out = 0
@@ -383,7 +353,7 @@ def _validate_schemes(ground, access, agents, base_formulas) -> list[SchemeRepor
     masks: dict = {}
     witnesses: dict = {}
     for f in base_formulas:
-        witnesses.setdefault(_event_mask(f, states, full, masks), f)
+        witnesses.setdefault(event_mask(f, states, full, masks), f)
     events = list(witnesses.items())
 
     reports = []
@@ -464,12 +434,19 @@ def validate_relation(ground, relation: dict, agents, predicates, depth: int):
     """Debug entry point: run the same scheme checks over an arbitrary
     accessibility relation (state -> state set) shared by the given agents.
     Non-partition relations are expected to fail introspection.  The
-    relation must map exactly the ground states, into the ground; anything
-    else raises GroundMismatch naming the state."""
+    relation must map exactly the ground states, into the ground, and every
+    predicate must lie in each ground state's domain; anything else raises
+    GroundMismatch naming the state or the predicate."""
     ground = frozenset(ground)
+    predicates = frozenset(predicates)
     for w in sorted(ground, key=State.sort_key):
         if w not in relation:
             raise GroundMismatch(f"relation gives no successors for ground state {w.bits()}")
+        if not predicates <= w.domain:
+            raise GroundMismatch(
+                f"predicate p{min(predicates - w.domain)} is outside the domain "
+                f"of ground state {w.bits()}"
+            )
     for w in sorted(relation, key=State.sort_key):
         if w not in ground:
             raise GroundMismatch(f"relation maps state {w.bits()}, which is outside the ground")
@@ -480,5 +457,5 @@ def validate_relation(ground, relation: dict, agents, predicates, depth: int):
                     "which is outside the ground"
                 )
     access = {i: {w: frozenset(relation[w]) for w in ground} for i in agents}
-    base = _s5_base_formulas(frozenset(predicates), depth)
+    base = _s5_base_formulas(predicates, depth)
     return _validate_schemes(ground, access, tuple(agents), base)

@@ -15,7 +15,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 
-from .epistemics import AgentState, Possible
+from .epistemics import AgentState
 from .rng import mix
 from .universe import (
     Clause,
@@ -278,7 +278,7 @@ def revise(agent: AgentState, observations, strategy: RevisionStrategy) -> Agent
     history = agent.history
     if theory != old_theory:
         history = history + ((theory.digest(), len(theory.predicates)),)
-    return replace(agent, possible=Possible(theory), observations=obs, history=history)
+    return replace(agent, theory=theory, observations=obs, history=history)
 
 
 @lru_cache(maxsize=1 << 16)

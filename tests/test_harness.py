@@ -1,9 +1,13 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oee.epistemics import agent_state
+from oee.epistemics import AgentState, Truth3, agent_state, decide
+from oee.formula import atoms, enumerate_sentences, evaluate
 from oee.harness import (
     LengthMismatch,
     SchemaError,
@@ -13,7 +17,6 @@ from oee.harness import (
     compare_strategies,
     coverage_fraction,
     coverage_series,
-    coverage_slow,
     ergodicity_report,
     export,
     ingest_trace,
@@ -21,8 +24,11 @@ from oee.harness import (
     run,
     run_full,
     scenario_from_dict,
+    sentence_types,
 )
 from oee.universe import State, Theory, clause, unit
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def minimal(**overrides):
@@ -103,6 +109,90 @@ def test_replicates_differ():
 
 
 # --- coverage ----------------------------------------------------------------
+
+
+def coverage_slow(agent: AgentState, revealed: frozenset[int], actual: State, depth: int) -> Fraction:
+    """Decided-correct fraction by direct enumeration (reference path)."""
+    sentences = enumerate_sentences(revealed, depth)
+    correct = 0
+    for f in sentences:
+        verdict = decide(agent, f)
+        if verdict is Truth3.TRUE and evaluate(f, actual.value):
+            correct += 1
+        elif verdict is Truth3.FALSE and not evaluate(f, actual.value):
+            correct += 1
+    return Fraction(correct, len(sentences))
+
+
+def reference_decide(agent: AgentState, f) -> Truth3:
+    """The verdict from the truth value of f in each model, one at a time."""
+    if not atoms(f) <= agent.predicates:
+        return Truth3.NOT_IN_LANGUAGE
+    values = {evaluate(f, model.value) for model in agent.theory.models()}
+    if values <= {True}:
+        return Truth3.TRUE
+    if values == {False}:
+        return Truth3.FALSE
+    return Truth3.UNDECIDABLE
+
+
+@st.composite
+def coverage_cases(draw):
+    """An agent, the revealed predicates, the actual state and a depth.  The
+    agent's language may be empty or reach outside the revealed set, and its
+    theory may have no models.  Depth 2 only over at most three revealed
+    predicates, where the oracle enumerates 3,303 sentences."""
+    revealed = frozenset(range(draw(st.integers(1, 4))))
+    language = draw(st.frozensets(st.integers(0, 5), max_size=5))
+    clauses = []
+    if language:
+        preds = sorted(language)
+        literals = st.tuples(st.sampled_from(preds), st.booleans())
+        for lits in draw(st.lists(st.lists(literals, min_size=1, max_size=2), max_size=5)):
+            clauses.append(clause(*dict(lits).items()))
+    theory = Theory(language, tuple(dict.fromkeys(clauses)))
+    actual = State(revealed, draw(st.frozensets(st.sampled_from(sorted(revealed)))))
+    depth = draw(st.integers(0, 2 if len(revealed) <= 3 else 1))
+    return agent_state(1, theory), revealed, actual, depth
+
+
+@settings(max_examples=150, deadline=None)
+@given(coverage_cases())
+def test_coverage_matches_oracle(case):
+    agent, revealed, actual, depth = case
+    assert coverage_fraction(agent, revealed, actual, depth) == \
+        coverage_slow(agent, revealed, actual, depth)
+    _, counts = sentence_types(agent, revealed, actual, depth)
+    assert sum(counts.values()) == len(enumerate_sentences(revealed, depth))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coverage_cases())
+def test_decide_matches_per_model_evaluation(case):
+    agent, revealed, _, depth = case
+    for f in enumerate_sentences(revealed, min(depth, 1)):
+        assert decide(agent, f) is reference_decide(agent, f), f
+
+
+def test_coverage_rejects_empty_revealed_and_negative_depth():
+    a = agent_state(1, Theory(frozenset({0}), ()))
+    actual = State(frozenset({0}), frozenset())
+    with pytest.raises(ValueError):
+        coverage_fraction(a, frozenset(), actual, 1)
+    with pytest.raises(ValueError):
+        coverage_fraction(a, frozenset({0}), actual, -1)
+
+
+def test_depth2_scenario_coverage_matches_oracle():
+    data = json.loads((SCENARIOS / "agree_disagree.json").read_text())
+    data["run"] = {"ticks": 2, "depth": 2}
+    result = run_full(scenario_from_dict(data), 0)
+    final = coverage_series(result.trace)
+    g = result.universe
+    for agent_id, agent in result.agents.items():
+        assert final[agent_id][-1] == \
+            coverage_slow(agent, g.revealed_predicates, g.actual, 2)
+
 
 def test_coverage_fast_matches_slow():
     from oee.rng import SplitMix64

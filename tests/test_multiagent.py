@@ -354,6 +354,14 @@ def test_validate_relation_outside_ground():
         validate_relation({w1, w2}, {w1: {w1}, w2: {w2}, w3: {w3}}, [1], {0, 1}, 1)
 
 
+def test_validate_relation_predicate_outside_domain():
+    w1, w2 = state({0, 1}, {0}), state({0, 1}, {1})
+    with pytest.raises(GroundMismatch, match="p5"):
+        validate_relation({w1, w2}, {w1: {w1}, w2: {w2}}, [1], {5, 6}, 1)
+    with pytest.raises(GroundMismatch, match="p2"):
+        validate_relation({w1, w2}, {w1: {w1}, w2: {w2}}, [1], {0, 1, 2}, 1)
+
+
 def test_full_cube_limit(monkeypatch):
     from oee import multiagent
 
