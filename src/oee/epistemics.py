@@ -148,16 +148,19 @@ def local_knowledge(agent: AgentState, omega: State, depth: int) -> frozenset[Fo
 
 def information_partition(agent: AgentState, depth: int) -> Partition:
     """States of the contextual possible, merged when indistinguishable: equal
-    κ and agreement on every currently observed literal."""
+    κ and agreement on every currently observed literal.
+
+    κ never splits a class, so the states are grouped by their observation
+    signature alone and `depth` cannot change the result: a sentence is
+    decided TRUE only when it holds in every model, so κ(ω) (`local_knowledge`)
+    is the same set at every model state ω, at any depth."""
     model = contextual_possible(agent)
     if not model:
         raise EmptyModel("inconsistent theory: no states to partition")
     obs = sorted(agent.observations)
     groups: dict[tuple, set[State]] = {}
     for omega in model:
-        obs_sig = tuple(omega.value(p) == v for p, v in obs)
-        kappa_sig = frozenset(local_knowledge(agent, omega, depth))
-        groups.setdefault((obs_sig, kappa_sig), set()).add(omega)
+        groups.setdefault(tuple(omega.value(p) == v for p, v in obs), set()).add(omega)
     return partition_from_classes(model, groups.values())
 
 

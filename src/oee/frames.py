@@ -75,7 +75,6 @@ def load_frame(path) -> SharedFrame:
 
 def load_event(path, frame: SharedFrame) -> frozenset[State]:
     from .formula import parse
-    from .multiagent import _event_of_formula
 
     with open(path) as fh:
         try:
@@ -87,5 +86,6 @@ def load_event(path, frame: SharedFrame) -> frozenset[State]:
             state_from_bits(b, frame.shared_predicates) for b in data["states"]
         )
     if isinstance(data, dict) and "formula" in data:
-        return _event_of_formula(frame, parse(data["formula"]))
+        view = frame.masks()
+        return view.states_of(view.formula_mask(parse(data["formula"])))
     raise SchemaError("$", "event must carry 'states' or 'formula'")

@@ -6,21 +6,27 @@ predicates and coarsened back into a partition of the full shared state cube.
 Common knowledge, hierarchies, posteriors, and the agreement experiment all
 run over that frame; `validate_s5` checks the modal axioms under partition
 semantics, with a relation-based debug evaluator as the negative control.
-S5 validation works on events as bitmasks over the ground (bit k for the k-th
-state in `State.sort_key` order), evaluated by `formula.event_mask`: each
-agent's accessibility becomes one successor mask per state, and K_i(E) is the
-mask of the states whose successor mask lies inside E.
+
+Agreement, common knowledge and S5 validation work on events as bitmasks over
+the ground, through one mask view per frame (`SharedFrame.masks`), built on
+first use: the ground numbered in `State.sort_key` order (bit k for the k-th
+state), each agent's class masks and the class mask of every state, and, on
+first need, the class mask of every state in the meet, taken from one call to
+`meet`.  Formulas become masks through `formula.event_mask`.  A posterior is
+|E & C| / |C| by popcount, common knowledge of E at w is `meet(w) & ~E == 0`,
+and K_i(E) is the mask of the states whose class mask lies inside E.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 from .epistemics import AgentState, Partition, information_partition, \
     knowledge_list, partition_from_classes
-from .formula import Formula, Implies, Know, atoms, event_mask, render
+from .formula import Formula, Implies, Know, atoms, event_mask, is_propositional, \
+    render
 from .universe import State
 
 
@@ -72,6 +78,62 @@ def meet(partitions) -> Partition:
     return partition_from_classes(ground, merged)
 
 
+class FrameMasks:
+    """The mask view of a shared frame: `states` is the ground in
+    `State.sort_key` order and `index` maps each state to its bit; for each
+    agent, `classes` lists its class masks and `class_at` holds the class
+    mask of every state, by bit.  `meet_at` gives the meet's class mask of
+    every state, computed by `meet` on first call."""
+
+    __slots__ = ("states", "index", "full", "classes", "class_at", "_partitions", "_meet_at")
+
+    def __init__(self, ground: frozenset[State], partitions: dict[int, Partition]):
+        self.states = sorted(ground, key=State.sort_key)
+        self.index = {w: k for k, w in enumerate(self.states)}
+        self.full = (1 << len(self.states)) - 1
+        self.classes = {}
+        self.class_at = {}
+        for i, p in partitions.items():
+            if p.ground != ground:
+                raise GroundMismatch("partition ground differs from the frame ground")
+            self.classes[i], self.class_at[i] = self._class_masks(p.classes)
+        self._partitions = partitions
+        self._meet_at = None
+
+    def _class_masks(self, classes):
+        masks = []
+        at = [0] * len(self.states)
+        for cls in classes:
+            m = self.mask(cls)
+            masks.append(m)
+            for w in cls:
+                at[self.index[w]] = m
+        return tuple(masks), at
+
+    def mask(self, states) -> int:
+        """The mask of a set of ground states (KeyError for any other)."""
+        index = self.index
+        out = 0
+        for w in states:
+            out |= 1 << index[w]
+        return out
+
+    def states_of(self, mask: int) -> frozenset[State]:
+        return frozenset(w for k, w in enumerate(self.states) if mask >> k & 1)
+
+    def formula_mask(self, f: Formula) -> int:
+        """The mask of the ground states where the propositional formula f
+        holds; ValueError for a formula with a knowledge operator."""
+        if not is_propositional(f):
+            raise ValueError("event formulas must be propositional")
+        return event_mask(f, self.states, self.full, {})
+
+    def meet_at(self) -> list[int]:
+        if self._meet_at is None:
+            self._meet_at = self._class_masks(meet(self._partitions.values()).classes)[1]
+        return self._meet_at
+
+
 @dataclass(frozen=True, slots=True)
 class SharedFrame:
     agents: tuple[int, ...]
@@ -79,9 +141,20 @@ class SharedFrame:
     ground: frozenset[State]
     projected_partitions: dict[int, Partition]
     agent_predicates: dict[int, frozenset[int]]
+    # the mask view, built by the first `masks()` call
+    _masks: FrameMasks | None = field(default=None, init=False, compare=False, repr=False)
 
     def partition_of(self, agent_id: int) -> Partition:
         return self.projected_partitions[agent_id]
+
+    def masks(self) -> FrameMasks:
+        """The frame's mask view, built on first use (GroundMismatch when a
+        partition's ground differs from the frame's)."""
+        view = self._masks
+        if view is None:
+            view = FrameMasks(self.ground, self.projected_partitions)
+            object.__setattr__(self, "_masks", view)
+        return view
 
     @property
     def closed(self) -> bool:
@@ -180,28 +253,20 @@ class Infeasible:
     missing: frozenset[int]
 
 
-def _event_of_formula(frame: SharedFrame, f: Formula) -> frozenset[State]:
-    from .formula import evaluate, is_propositional
-
-    if not is_propositional(f):
-        raise ValueError("event formulas must be propositional")
-    return frozenset(s for s in frame.ground if evaluate(f, s.value))
-
-
 def common_knowledge(frame: SharedFrame, event_formula: Formula, at: State):
     """Holds, FailsAt(states), or Infeasible(missing atoms) when the event is
     not even expressible in the shared language."""
-    if at not in frame.ground:
+    view = frame.masks()
+    k = view.index.get(at)
+    if k is None:
         raise GroundMismatch("evaluation state must lie in the frame ground")
     missing = atoms(event_formula) - frame.shared_predicates
     if missing:
         return Infeasible(frozenset(missing))
-    event = _event_of_formula(frame, event_formula)
-    the_meet = meet(frame.projected_partitions.values())
-    cls = the_meet.class_of(at)
-    if cls <= event:
+    outside = view.meet_at()[k] & ~view.formula_mask(event_formula)
+    if not outside:
         return Holds()
-    return FailsAt(cls - event)
+    return FailsAt(view.states_of(outside))
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,23 +329,29 @@ class AgreementReport:
 
 
 def agreement_check(frame: SharedFrame, event, at: State) -> AgreementReport:
-    event = frozenset(event)
-    if at not in frame.ground or not event <= frame.ground:
-        raise GroundMismatch("event and state must lie in the frame ground")
-    posteriors = {
-        i: posterior(frame.partition_of(i), event, at) for i in frame.agents
-    }
-    # the event "every agent's posterior equals the realized profile"
-    profile_event = frozenset(
-        w
-        for w in frame.ground
-        if all(
-            posterior(frame.partition_of(i), event, w) == posteriors[i]
-            for i in frame.agents
-        )
-    )
-    the_meet = meet(frame.projected_partitions.values())
-    ck = the_meet.class_of(at) <= profile_event
+    """Each agent's posterior of the event at `at`, whether the event "every
+    agent's posterior equals its value at `at`" is common knowledge at `at`,
+    and whether the posteriors agree.  On the frame's mask view: a posterior
+    is |E & C| / |C| for the agent's class C, and the profile event is the
+    union of the classes whose counts cross-multiply to the same ratio."""
+    view = frame.masks()
+    try:
+        k = view.index[at]
+        e = view.mask(event)
+    except KeyError:
+        raise GroundMismatch("event and state must lie in the frame ground") from None
+    posteriors = {}
+    profile = view.full
+    for i in frame.agents:
+        c = view.class_at[i][k]
+        n, d = (e & c).bit_count(), c.bit_count()
+        posteriors[i] = Fraction(n, d)
+        same = 0
+        for cls in view.classes[i]:
+            if (e & cls).bit_count() * d == n * cls.bit_count():
+                same |= cls
+        profile &= same
+    ck = not view.meet_at()[k] & ~profile
     agree = len(set(posteriors.values())) == 1
     return AgreementReport(posteriors, ck, agree)
 
@@ -314,10 +385,6 @@ class SchemeReport:
     counterexample: tuple[str, State] | None = None
 
 
-def _accessible_from_partition(p: Partition):
-    return {w: cls for cls in p.classes for w in cls}
-
-
 def _knowledge_mask(succ: list[int], event: int) -> int:
     """K(E) = {w : succ(w) <= E}: bit k set when succ[k] lies inside event."""
     out = 0
@@ -327,17 +394,12 @@ def _knowledge_mask(succ: list[int], event: int) -> int:
     return out
 
 
-def _validate_schemes(ground, access, agents, base_formulas) -> list[SchemeReport]:
+def _validate_schemes(states, succ, agents, base_formulas) -> list[SchemeReport]:
     """Every scheme instance over the distinct events of the base formulas,
-    under accessibility maps agent -> state -> successor set (all inside the
-    ground).  Events are bitmasks over the ground in `State.sort_key` order,
-    so the lowest failing bit is the minimum counterexample state."""
-    states = sorted(ground, key=State.sort_key)
-    index = {w: k for k, w in enumerate(states)}
+    given the ground in `State.sort_key` order and, per agent, the successor
+    mask of every state (bit k for `states[k]`), so that the lowest failing
+    bit is the minimum counterexample state."""
     full = (1 << len(states)) - 1
-    succ = {
-        i: [sum(1 << index[v] for v in access[i][w]) for w in states] for i in agents
-    }
     known: dict = {i: {} for i in agents}
 
     def know(i, event):
@@ -414,7 +476,7 @@ def validate_s5(frame: SharedFrame, depth: int) -> list[SchemeReport]:
     """Check reflection, both introspection schemes, distributivity, and
     necessitation over the frame's partitions.  Closed mode only.
 
-    Partition semantics on bitmask events: the ground is numbered in
+    Partition semantics on the frame's mask view: the ground is numbered in
     `State.sort_key` order, every base formula (propositional, depth <=
     `depth`, over the first two shared predicates) becomes the mask of the
     states where it holds, and agent i knows E at w when w's information
@@ -423,11 +485,9 @@ def validate_s5(frame: SharedFrame, depth: int) -> list[SchemeReport]:
     first failing instance's formula and its minimum state."""
     if not frame.closed:
         raise NotClosedMode("agents must share one predicate set")
-    access = {
-        i: _accessible_from_partition(frame.partition_of(i)) for i in frame.agents
-    }
+    view = frame.masks()
     base = _s5_base_formulas(frame.shared_predicates, depth)
-    return _validate_schemes(frame.ground, access, frame.agents, base)
+    return _validate_schemes(view.states, view.class_at, frame.agents, base)
 
 
 def validate_relation(ground, relation: dict, agents, predicates, depth: int):
@@ -456,6 +516,8 @@ def validate_relation(ground, relation: dict, agents, predicates, depth: int):
                     f"relation points from {w.bits()} to {v.bits()}, "
                     "which is outside the ground"
                 )
-    access = {i: {w: frozenset(relation[w]) for w in ground} for i in agents}
+    states = sorted(ground, key=State.sort_key)
+    index = {w: k for k, w in enumerate(states)}
+    successors = [sum(1 << index[v] for v in set(relation[w])) for w in states]
     base = _s5_base_formulas(predicates, depth)
-    return _validate_schemes(ground, access, tuple(agents), base)
+    return _validate_schemes(states, {i: successors for i in agents}, tuple(agents), base)

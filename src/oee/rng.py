@@ -22,11 +22,17 @@ def _finalize(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def fold(h: int, v: int) -> int:
+    """One step of `mix`: the hash h with the integer v folded in, so that
+    fold(mix(*values), v) == mix(*values, v)."""
+    return _finalize((h + _GAMMA) & MASK64 ^ (v & MASK64))
+
+
 def mix(*values: int) -> int:
     """Hash a tuple of integers into a 64-bit value. Order-sensitive."""
     h = 0x8C2F9D1A6E5B3C07
     for v in values:
-        h = _finalize((h + _GAMMA) & MASK64 ^ (v & MASK64))
+        h = fold(h, v)
     return h
 
 

@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .rng import SplitMix64, mix, stream
+from .rng import SplitMix64, fold, mix, stream
 
 
 class ConfigError(ValueError):
@@ -396,8 +396,8 @@ class UniverseGenerator:
             raise NicheError("niche contains unrevealed predicates")
         visibility = _as_fraction(visibility)
         literals = {(p, self._actual.value(p)) for p in niche}
+        prefix = mix(agent_seed, salt, self.tick_index)
         for p in sorted(self.revealed_predicates - niche):
-            draw = mix(agent_seed, salt, self.tick_index, p)
-            if draw * visibility.denominator < visibility.numerator << 64:
+            if fold(prefix, p) * visibility.denominator < visibility.numerator << 64:
                 literals.add((p, self._actual.value(p)))
         return frozenset(literals)

@@ -104,6 +104,68 @@ def test_agree_command(tmp_path):
     assert "agree: true" in result.output
 
 
+# two meet components, {000, 001, 010, 011} and {100, 101, 110, 111}
+SPLIT_FRAME = {
+    "predicates": [0, 1, 2],
+    "partitions": {
+        "1": [["000", "001"], ["010", "011"], ["100", "101", "110"], ["111"]],
+        "2": [["000", "010"], ["001", "011"], ["100"], ["101", "110", "111"]],
+    },
+}
+
+
+@pytest.mark.parametrize("event, at, lines", [
+    ({"formula": "p0 | p2"}, "100", ["1", "1", "true", "true"]),
+    ({"formula": "p1"}, "000", ["0", "1/2", "false", "false"]),
+    ({"formula": "p1 -> p2"}, "100", ["2/3", "1", "false", "false"]),
+    ({"states": ["100", "111"]}, "100", ["1/3", "1", "false", "false"]),
+    ({"states": ["100", "111"]}, "000", ["0", "0", "true", "true"]),
+    ({"states": []}, "011", ["0", "0", "true", "true"]),
+])
+def test_agree_command_output_is_pinned(tmp_path, event, at, lines):
+    frame = tmp_path / "f.json"
+    frame.write_text(json.dumps(SPLIT_FRAME))
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(event))
+    result = invoke("agree", "--frame", str(frame), "--event", str(path), "--at", at)
+    assert result.exit_code == 0, result.output
+    post1, post2, common, agree = lines
+    assert result.output.splitlines() == [
+        f"posterior[1] = {post1}",
+        f"posterior[2] = {post2}",
+        f"common-knowledge-of-posteriors: {common}",
+        f"agree: {agree}",
+    ]
+
+
+@pytest.mark.parametrize("formula, message", [
+    ("K1 p0", "error: event formulas must be propositional"),
+    ("p7", "error: 7"),
+])
+def test_agree_command_rejects_formula_event(tmp_path, formula, message):
+    frame = tmp_path / "f.json"
+    frame.write_text(json.dumps(SPLIT_FRAME))
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"formula": formula}))
+    result = invoke("agree", "--frame", str(frame), "--event", str(path), "--at", "000")
+    assert result.exit_code == 1
+    assert result.output.strip() == message
+
+
+@pytest.mark.parametrize("formula, at, line", [
+    ("p0", "000", "fails-at 000,001,010,011"),
+    ("p0", "100", "holds"),
+    ("p1", "100", "fails-at 100,101"),
+    ("p5", "000", "infeasible missing=p5"),
+])
+def test_check_command_output_is_pinned(tmp_path, formula, at, line):
+    frame = tmp_path / "f.json"
+    frame.write_text(json.dumps(SPLIT_FRAME))
+    result = invoke("check", "--frame", str(frame), "--formula", formula, "--at", at)
+    assert result.exit_code == 0, result.output
+    assert result.output.strip() == line
+
+
 def test_ergodic_command(tmp_path):
     scenario = tmp_path / "s.json"
     scenario.write_text(json.dumps(SCENARIO))

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oee.epistemics import (
     DomainError,
@@ -204,6 +204,45 @@ def test_information_partition_sound_random_theories():
         ag = agent(t, observations=obs)
         part = information_partition(ag, 1)
         assert part.ground == contextual_possible(ag)
+
+
+def reference_information_partition(agent_, depth):
+    """The partition as first defined: states grouped by observation
+    signature and by κ, computed at every model state."""
+    model = contextual_possible(agent_)
+    obs = sorted(agent_.observations)
+    groups = {}
+    for omega in model:
+        obs_sig = tuple(omega.value(p) == v for p, v in obs)
+        kappa_sig = local_knowledge(agent_, omega, depth)
+        groups.setdefault((obs_sig, kappa_sig), set()).add(omega)
+    return partition_from_classes(model, groups.values())
+
+
+@st.composite
+def observed_agents(draw):
+    """An agent with a consistent random theory; depth 2 on at most two
+    predicates, since the reference enumerates every sentence per state."""
+    depth = draw(st.integers(0, 2))
+    preds = list(range(draw(st.integers(1, 2 if depth == 2 else 3))))
+    literal = st.tuples(st.sampled_from(preds), st.booleans())
+    clauses = []
+    for lits in draw(st.lists(st.lists(literal, min_size=1, max_size=2), max_size=3)):
+        lits = dict(lits)  # one polarity per predicate
+        clauses.append(clause(*lits.items()))
+    t = Theory(frozenset(preds), tuple(dict.fromkeys(clauses)))
+    if not t.models():
+        t = empty_theory(preds)
+    actual = draw(st.sampled_from(t.models()))
+    observed = draw(st.lists(st.sampled_from(preds), unique=True))
+    return agent(t, observations=[(p_, actual.value(p_)) for p_ in observed]), depth
+
+
+@settings(max_examples=40, deadline=None)
+@given(observed_agents())
+def test_information_partition_matches_kappa_reference(case):
+    a, depth = case
+    assert information_partition(a, depth) == reference_information_partition(a, depth)
 
 
 # --- adjacent possible -------------------------------------------------------

@@ -1,11 +1,31 @@
 from fractions import Fraction
 
-from oee.rng import MASK64, SplitMix64, chance_at, mix, stream
+from hypothesis import given
+from hypothesis import strategies as st
+
+from oee.rng import MASK64, SplitMix64, chance_at, fold, mix, stream
 
 
 def test_mix_is_order_sensitive():
     assert mix(1, 2) != mix(2, 1)
     assert mix(0) != mix(0, 0)
+
+
+def reference_mix(*values):
+    """`mix` as first written, one loop over splitmix64's output function."""
+    h = 0x8C2F9D1A6E5B3C07
+    for v in values:
+        z = (h + 0x9E3779B97F4A7C15) & MASK64 ^ (v & MASK64)
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
+        h = z ^ (z >> 31)
+    return h
+
+
+@given(st.lists(st.integers(-(1 << 70), 1 << 70), max_size=6), st.integers(0, MASK64))
+def test_mix_is_a_fold(values, last):
+    assert mix(*values) == reference_mix(*values)
+    assert fold(mix(*values), last) == mix(*values, last)
 
 
 def test_mix_deterministic():

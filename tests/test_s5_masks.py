@@ -14,7 +14,6 @@ from oee.epistemics import partition_from_classes
 from oee.formula import And, Atom, Implies, Know, Not, Or, render
 from oee.multiagent import (
     SchemeReport,
-    _accessible_from_partition,
     _s5_base_formulas,
     frame_from_partitions,
     full_cube,
@@ -116,7 +115,8 @@ def reference_validate_schemes(ground, access, agents, base_formulas):
 
 def reference_validate_s5(frame, depth):
     access = {
-        i: _accessible_from_partition(frame.partition_of(i)) for i in frame.agents
+        i: {w: cls for cls in frame.partition_of(i).classes for w in cls}
+        for i in frame.agents
     }
     base = _s5_base_formulas(frame.shared_predicates, depth)
     return reference_validate_schemes(frame.ground, access, frame.agents, base)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oee.universe import (
     Clause,
@@ -14,6 +16,7 @@ from oee.universe import (
     empty_theory,
     unit,
 )
+from oee.rng import MASK64, mix
 
 
 def make(seed=7, weights=("0.5", "0.3", "0.2"), k=3, arity=2):
@@ -177,3 +180,33 @@ def test_observe_niche_error():
     g = make()
     with pytest.raises(NicheError):
         g.observe(frozenset({99}), Fraction(1), agent_seed=1)
+
+
+def reference_observe(g, niche, visibility, agent_seed, salt=0):
+    """`observe` as first written: one full `mix` per revealed predicate."""
+    literals = {(p, g.actual.value(p)) for p in niche}
+    for p in sorted(g.revealed_predicates - niche):
+        draw = mix(agent_seed, salt, g.tick_index, p)
+        if draw * visibility.denominator < visibility.numerator << 64:
+            literals.add((p, g.actual.value(p)))
+    return frozenset(literals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 1000),
+    k=st.integers(1, 8),
+    ticks=st.integers(0, 30),
+    agent_seed=st.integers(0, MASK64),
+    salt=st.integers(0, 3),
+    visibility=st.fractions(0, 1, max_denominator=32),
+    data=st.data(),
+)
+def test_observe_matches_plain_mix_reference(seed, k, ticks, agent_seed, salt, visibility, data):
+    g = make(seed=seed, k=k)
+    for _ in range(ticks):
+        g.tick()
+    revealed = sorted(g.revealed_predicates)
+    niche = frozenset(data.draw(st.lists(st.sampled_from(revealed), unique=True)))
+    assert g.observe(niche, visibility, agent_seed, salt) == \
+        reference_observe(g, niche, visibility, agent_seed, salt)
