@@ -153,10 +153,15 @@ def information_partition(agent: AgentState, depth: int) -> Partition:
     κ never splits a class, so the states are grouped by their observation
     signature alone and `depth` cannot change the result: a sentence is
     decided TRUE only when it holds in every model, so κ(ω) (`local_knowledge`)
-    is the same set at every model state ω, at any depth."""
+    is the same set at every model state ω, at any depth.  As when κ was
+    computed, an empty language or a negative depth raises ValueError."""
     model = contextual_possible(agent)
     if not model:
         raise EmptyModel("inconsistent theory: no states to partition")
+    if not agent.predicates:
+        raise ValueError("predicate set must be nonempty")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     obs = sorted(agent.observations)
     groups: dict[tuple, set[State]] = {}
     for omega in model:

@@ -12,9 +12,11 @@ the ground, through one mask view per frame (`SharedFrame.masks`), built on
 first use: the ground numbered in `State.sort_key` order (bit k for the k-th
 state), each agent's class masks and the class mask of every state, and, on
 first need, the class mask of every state in the meet, taken from one call to
-`meet`.  Formulas become masks through `formula.event_mask`.  A posterior is
-|E & C| / |C| by popcount, common knowledge of E at w is `meet(w) & ~E == 0`,
-and K_i(E) is the mask of the states whose class mask lies inside E.
+`meet`.  Formulas become masks through `formula.event_mask`.  The posterior
+profile event is the union of the classes C whose popcount ratio |E & C| / |C|
+equals the agent's posterior at the evaluation state, common knowledge of E at
+w is `meet(w) & ~E == 0`, and K_i(E) is the mask of the states whose class
+mask lies inside E.
 """
 
 from __future__ import annotations
@@ -331,9 +333,10 @@ class AgreementReport:
 def agreement_check(frame: SharedFrame, event, at: State) -> AgreementReport:
     """Each agent's posterior of the event at `at`, whether the event "every
     agent's posterior equals its value at `at`" is common knowledge at `at`,
-    and whether the posteriors agree.  On the frame's mask view: a posterior
-    is |E & C| / |C| for the agent's class C, and the profile event is the
-    union of the classes whose counts cross-multiply to the same ratio."""
+    and whether the posteriors agree.  Each agent's posterior at `at` comes
+    from `posterior`, once per agent; on the frame's mask view, the profile
+    event is the union of the classes C whose counts |E & C| / |C|
+    cross-multiply to that value."""
     view = frame.masks()
     try:
         k = view.index[at]
@@ -343,9 +346,8 @@ def agreement_check(frame: SharedFrame, event, at: State) -> AgreementReport:
     posteriors = {}
     profile = view.full
     for i in frame.agents:
-        c = view.class_at[i][k]
-        n, d = (e & c).bit_count(), c.bit_count()
-        posteriors[i] = Fraction(n, d)
+        value = posteriors[i] = posterior(frame.partition_of(i), event, at)
+        n, d = value.numerator, value.denominator
         same = 0
         for cls in view.classes[i]:
             if (e & cls).bit_count() * d == n * cls.bit_count():

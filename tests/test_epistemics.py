@@ -219,6 +219,17 @@ def reference_information_partition(agent_, depth):
     return partition_from_classes(model, groups.values())
 
 
+@pytest.mark.parametrize("theory, depth, message", [
+    (empty_theory({0, 1}), -1, "depth must be >= 0"),
+    (empty_theory(set()), 0, "predicate set must be nonempty"),
+])
+def test_information_partition_rejects_bad_input_as_reference(theory, depth, message):
+    a = agent(theory)
+    for partition in (information_partition, reference_information_partition):
+        with pytest.raises(ValueError, match=message):
+            partition(a, depth)
+
+
 @st.composite
 def observed_agents(draw):
     """An agent with a consistent random theory; depth 2 on at most two

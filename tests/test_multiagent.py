@@ -329,6 +329,12 @@ def test_s5_requires_closed_mode():
         validate_s5(frame, 1)
 
 
+def test_build_shared_frame_rejects_negative_depth():
+    a = agent_state(1, Theory(frozenset({0, 1}), (unit(0, True),)))
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        build_shared_frame([a], depth=-1)
+
+
 def test_s5_negative_control_non_transitive():
     w1, w2, w3 = (state({0, 1}, t) for t in ({0}, {1}, set()))
     ground = {w1, w2, w3}
