@@ -74,7 +74,7 @@ def load_frame(path) -> SharedFrame:
 
 
 def load_event(path, frame: SharedFrame) -> frozenset[State]:
-    from .formula import parse
+    from .formula import atoms, parse
 
     with open(path) as fh:
         try:
@@ -86,6 +86,14 @@ def load_event(path, frame: SharedFrame) -> frozenset[State]:
             state_from_bits(b, frame.shared_predicates) for b in data["states"]
         )
     if isinstance(data, dict) and "formula" in data:
+        formula = parse(data["formula"])
+        missing = atoms(formula) - frame.shared_predicates
+        if missing:
+            names = ", ".join(f"p{p}" for p in sorted(missing))
+            known = ", ".join(f"p{p}" for p in sorted(frame.shared_predicates))
+            raise ValueError(
+                f"event formula names {names}, outside the frame's predicates {known}"
+            )
         view = frame.masks()
-        return view.states_of(view.formula_mask(parse(data["formula"])))
+        return view.states_of(view.formula_mask(formula))
     raise SchemaError("$", "event must carry 'states' or 'formula'")

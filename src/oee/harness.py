@@ -72,11 +72,35 @@ def _fraction(value, path: str) -> Fraction:
         raise SchemaError(path, f"not a rational: {value!r}")
 
 
+def _integer(value, path: str, minimum: int | None = None) -> int:
+    """`value` if it is an integer of at least `minimum`; a JSON boolean is
+    not an integer."""
+    if isinstance(value, bool) or not isinstance(value, int) or (
+        minimum is not None and value < minimum
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise SchemaError(path, f"must be an integer{bound}")
+    return value
+
+
+def _known_keys(data: dict, keys, prefix: str) -> None:
+    for key in data:
+        if key not in keys:
+            raise SchemaError(f"{prefix}{key}", "unknown key")
+
+
+_SCENARIO_KEYS = ("seed", "weights", "initial_predicates", "clause_arity", "agents", "run")
+_AGENT_KEYS = ("id", "niche", "visibility", "strategy", "strategy_seed")
+_RUN_KEYS = ("ticks", "depth", "replicates")
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise SchemaError("$", "scenario must be an object")
-    if "seed" not in data or not isinstance(data["seed"], int):
+    _known_keys(data, _SCENARIO_KEYS, "")
+    if "seed" not in data:
         raise SchemaError("seed", "required integer")
+    seed = _integer(data["seed"], "seed")
     raw_weights = data.get("weights")
     if raw_weights is None:
         weights = _DEFAULT_WEIGHTS
@@ -86,12 +110,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         weights = tuple(_fraction(w, f"weights[{i}]") for i, w in enumerate(raw_weights))
         if any(w < 0 for w in weights) or sum(weights) != 1:
             raise SchemaError("weights", "must be nonnegative and sum to 1")
-    initial = data.get("initial_predicates", 3)
-    if not isinstance(initial, int) or initial < 1:
-        raise SchemaError("initial_predicates", "must be an integer >= 1")
-    arity = data.get("clause_arity", 2)
-    if not isinstance(arity, int) or arity < 2:
-        raise SchemaError("clause_arity", "must be an integer >= 2")
+    initial = _integer(data.get("initial_predicates", 3), "initial_predicates", 1)
+    arity = _integer(data.get("clause_arity", 2), "clause_arity", 2)
     raw_agents = data.get("agents")
     if not isinstance(raw_agents, list) or not raw_agents:
         raise SchemaError("agents", "must be a nonempty list")
@@ -101,14 +121,17 @@ def scenario_from_dict(data: dict) -> Scenario:
         path = f"agents[{i}]"
         if not isinstance(raw, dict):
             raise SchemaError(path, "must be an object")
-        aid = raw.get("id")
-        if not isinstance(aid, int):
+        _known_keys(raw, _AGENT_KEYS, f"{path}.")
+        if "id" not in raw:
             raise SchemaError(f"{path}.id", "required integer")
+        aid = _integer(raw["id"], f"{path}.id")
         if aid in seen_ids:
             raise SchemaError(f"{path}.id", f"duplicate agent id {aid}")
         seen_ids.add(aid)
         niche = raw.get("niche", [])
-        if not isinstance(niche, list) or not all(isinstance(p, int) for p in niche):
+        if not isinstance(niche, list) or not all(
+            isinstance(p, int) and not isinstance(p, bool) for p in niche
+        ):
             raise SchemaError(f"{path}.niche", "must be a list of predicate indices")
         visibility = (
             _fraction(raw["visibility"], f"{path}.visibility")
@@ -122,26 +145,19 @@ def scenario_from_dict(data: dict) -> Scenario:
             kind = StrategyKind(kind_name)
         except ValueError:
             raise SchemaError(f"{path}.strategy", f"unknown strategy {kind_name!r}")
-        strategy_seed = raw.get("strategy_seed", 0)
-        if not isinstance(strategy_seed, int):
-            raise SchemaError(f"{path}.strategy_seed", "must be an integer")
+        strategy_seed = _integer(raw.get("strategy_seed", 0), f"{path}.strategy_seed")
         agents.append(
             AgentSpec(aid, frozenset(niche), visibility, RevisionStrategy(kind, strategy_seed))
         )
     raw_run = data.get("run", {})
     if not isinstance(raw_run, dict):
         raise SchemaError("run", "must be an object")
-    ticks = raw_run.get("ticks", 10)
-    depth = raw_run.get("depth", 1)
-    replicates = raw_run.get("replicates", 1)
-    if not isinstance(ticks, int) or ticks < 1:
-        raise SchemaError("run.ticks", "must be an integer >= 1")
-    if not isinstance(depth, int) or depth < 0:
-        raise SchemaError("run.depth", "must be an integer >= 0")
-    if not isinstance(replicates, int) or replicates < 1:
-        raise SchemaError("run.replicates", "must be an integer >= 1")
+    _known_keys(raw_run, _RUN_KEYS, "run.")
+    ticks = _integer(raw_run.get("ticks", 10), "run.ticks", 1)
+    depth = _integer(raw_run.get("depth", 1), "run.depth", 0)
+    replicates = _integer(raw_run.get("replicates", 1), "run.replicates", 1)
     return Scenario(
-        seed=data["seed"],
+        seed=seed,
         weights=weights,
         initial_predicates=initial,
         clause_arity=arity,
@@ -527,9 +543,18 @@ def ingest_trace(path) -> Trace:
             )
     if header is None:
         raise ValueError("trace file has no header line")
+    for key in ("ticks", "depth"):
+        if key not in header:
+            raise SchemaError(f"header.{key}", "required integer")
+        _integer(header[key], f"header.{key}", 0)
+    agents = header.get("agents")
+    if not isinstance(agents, list):
+        raise SchemaError("header.agents", "must be a list of agent ids")
+    for i, agent in enumerate(agents):
+        _integer(agent, f"header.agents[{i}]")
     return Trace(
         ticks=header["ticks"],
         depth=header["depth"],
-        agents=tuple(header["agents"]),
+        agents=tuple(agents),
         events=events,
     )

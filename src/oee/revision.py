@@ -9,7 +9,8 @@ the language grows; the deductive strategy adopts none.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -56,7 +57,12 @@ def symmetry_score(theory: Theory) -> int:
     """Number of predicate transpositions leaving the clause set fixed."""
     # A transposition (a b) fixing the clause set maps the clauses of a onto
     # those of b, so only predicates with equal signatures, the multiset of
-    # (polarity, clause length) over their clauses, are tried.
+    # (polarity, clause length) over their clauses, can pair.  Within a
+    # signature group, the orbit key of p is its clauses with p replaced by a
+    # placeholder.  When a and b share no clause, (a b) fixes the set exactly
+    # when their orbit keys are equal, so those pairs are counted per key and
+    # only the pairs that share a clause are tried on the clauses (Crawford,
+    # Ginsberg, Luks & Roy, KR 1996).
     signature = {p: [] for p in theory.predicates}
     touching = {p: [] for p in theory.predicates}
     for c in theory.clauses:
@@ -69,15 +75,29 @@ def symmetry_score(theory: Theory) -> int:
     clause_set = frozenset(c.literals for c in theory.clauses)
     count = 0
     for group in groups.values():
-        for a, b in combinations(group, 2):
-            swap = {a: b, b: a}
-            # the swap is injective and fixes every clause without a or b, so
-            # it fixes the set once it maps the clauses of a and b into it
-            if all(
-                frozenset((swap.get(p, p), pol) for p, pol in literals) in clause_set
-                for literals in touching[a] + touching[b]
-            ):
-                count += 1
+        if len(group) < 2:
+            continue
+        orbit = {
+            p: frozenset(
+                frozenset((None if q == p else q, pol) for q, pol in literals)
+                for literals in touching[p]
+            )
+            for p in group
+        }
+        count += sum(k * (k - 1) // 2 for k in Counter(orbit.values()).values())
+        members = set(group)
+        for a in group:
+            for b in {q for literals in touching[a] for q, _ in literals}:
+                if b <= a or b not in members:
+                    continue
+                swap = {a: b, b: a}
+                # the swap is injective and fixes every clause without a or b,
+                # so it fixes the set once it maps the clauses of a and b into it
+                fixes = all(
+                    frozenset((swap.get(p, p), pol) for p, pol in literals) in clause_set
+                    for literals in touching[a] + touching[b]
+                )
+                count += fixes - (orbit[a] == orbit[b])
     return count
 
 
@@ -90,22 +110,29 @@ def _contradicted(literals):
     return None
 
 
-def _strategy_key(strategy: RevisionStrategy, predicates, clauses, age=()):
-    """Sort key of the candidate `Theory(predicates, clauses)`: the strategy's
-    score, then `age`, the retracted clauses counted from the newest (empty
-    for a bridging clause), then the canonical text.  Distinct repairs differ
-    in age, so the deductive key, which scores a repair by the number of
-    clauses it retracts, needs no text."""
-    if strategy.kind is StrategyKind.DEDUCTIVE:
-        return (len(age), age)
-    text = canonical_text(predicates, clauses)
-    if strategy.kind is StrategyKind.RANDOM:
-        primary = mix(strategy.seed, int(text_digest(text), 16))
-    elif strategy.kind is StrategyKind.HEURISTIC:
-        primary = sum(len(c.literals) for c in clauses)
-    else:
-        primary = -symmetry_score(Theory(predicates, clauses))
-    return (primary, age, text)
+def _strategy_key(strategy: RevisionStrategy, tie, text, literals, theory):
+    """Sort key of `strategy` over candidates: the strategy's score (lower
+    ranks first), then `tie(c)`, which tells any two candidates apart.
+
+    Each strategy scores a candidate through the one view of it that it needs,
+    so a caller computes no other: random hashes `text(c)`, the canonical text
+    of the candidate theory; heuristic prefers fewer literals, `literals(c)`;
+    aesthetic prefers a higher symmetry score of `theory(c)`, the candidate
+    built.  Deductive ranks repairs only, with `tie(c)` the retraction age:
+    by the number of clauses retracted, then by age."""
+    kind = strategy.kind
+    if kind is StrategyKind.RANDOM:
+        return lambda c: (mix(strategy.seed, int(text_digest(text(c)), 16)), tie(c))
+    if kind is StrategyKind.HEURISTIC:
+        return lambda c: (literals(c), tie(c))
+    if kind is StrategyKind.AESTHETIC:
+        return lambda c: (-symmetry_score(theory(c)), tie(c))
+
+    def deductive(c):
+        age = tie(c)
+        return len(age), age
+
+    return deductive
 
 
 def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, budget: int):
@@ -125,6 +152,13 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
     - other strategies: up to the first level at which their count reaches
       max(8 * budget, 64), which also ends a deductive search.
 
+    Candidates rank by the strategy's score, then by age: the retracted
+    clauses counted from the newest, sorted.  Distinct retraction sets have
+    distinct ages, so ties never reach the canonical text.  The scores come
+    from the retraction set without building the candidate, except the
+    aesthetic one, and only the first `budget` distinct theories of the
+    ranking are built.
+
     Returns at most `budget` distinct theories, and none when the observed
     literals contradict each other."""
     if budget < 1:
@@ -143,6 +177,12 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
         (u, clauses.index(u) if u in clauses else None)
         for u in (unit(p, v) for p, v in conflict)
     ]
+
+    def kept(retracted):
+        return tuple(c for i, c in enumerate(clauses) if i not in retracted) + tuple(
+            u for u, j in unit_slots if j is None or j in retracted
+        )
+
     pool_cap = max(budget * 8, 64)
     deductive = strategy.kind is StrategyKind.DEDUCTIVE
     # Any unsatisfiable core of theory + observation units is connected (via
@@ -184,28 +224,59 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
                         [residue[i] for i in kept_residues]
                     )
                 if consistent:
-                    retracted = falsified.union(extra)
-                    kept = tuple(c for i, c in enumerate(clauses) if i not in retracted)
-                    kept += tuple(u for u, j in unit_slots if j is None or j in retracted)
-                    candidates.append((retracted, kept))
+                    candidates.append(falsified.union(extra))
             if len(candidates) >= pool_cap or (
-                deductive and len({kept for _, kept in candidates}) >= budget
+                deductive
+                and len(candidates) >= budget
+                and len({kept(r) for r in candidates}) >= budget
             ):
                 break
         if candidates:
             break
-    def key(candidate):
-        retracted, kept = candidate
-        age = tuple(sorted(n - 1 - i for i in retracted))
-        return _strategy_key(strategy, preds, kept, age)
 
-    candidates.sort(key=key)
+    # As a clause set, a candidate is the theory less its retracted clauses,
+    # except the observed units among them, which are recorded again, plus
+    # the observed units the theory lacks.
+    recorded = {j for _, j in unit_slots if j is not None}
+    fresh = [u for u, j in unit_slots if j is None]
+    sizes = [len(c.literals) for c in clauses]
+    literal_total = sum(sizes) + len(fresh)
+    prefix = canonical_text(preds, ())
+    rendering = None
+
+    def text(retracted):
+        # the canonical text of every candidate filters one sorted rendering,
+        # made on the first call
+        nonlocal rendering
+        if rendering is None:
+            rendering = [
+                (i, rendered)
+                for _, i, rendered in sorted(
+                    [(c.sort_key(), i, c.render()) for i, c in enumerate(clauses)]
+                    + [(u.sort_key(), n, u.render()) for u in fresh]
+                )
+            ]
+        dropped = retracted - recorded
+        return prefix + "; ".join([t for i, t in rendering if i not in dropped])
+
+    def literals(retracted):
+        return literal_total - sum(sizes[i] for i in retracted - recorded)
+
+    def age(retracted):
+        return tuple(sorted(n - 1 - i for i in retracted))
+
+    candidates.sort(
+        key=_strategy_key(
+            strategy, age, text, literals, lambda r: Theory(preds, kept(r))
+        )
+    )
     ranked = []
     seen = set()
-    for _, kept in candidates:
-        if kept not in seen:
-            seen.add(kept)
-            ranked.append(Theory(preds, kept))
+    for retracted in candidates:
+        candidate = kept(retracted)
+        if candidate not in seen:
+            seen.add(candidate)
+            ranked.append(Theory(preds, candidate))
             if len(ranked) == budget:
                 break
     return ranked
@@ -213,20 +284,50 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
 
 def _bridging_candidates(theory: Theory, new_pred: int, old_preds):
     """Consistent two-literal implications linking a new predicate to an old
-    one, given the theory already contains the observed units."""
-    out = []
-    for r in sorted(old_preds):
-        if r == new_pred:
-            continue
-        for new_pol in (True, False):
-            for old_pol in (True, False):
-                c = clause((new_pred, new_pol), (r, old_pol))
-                if c in theory.clauses:
-                    continue
-                candidate = theory.with_clause(c)
-                if candidate.models():
-                    out.append(candidate)
-    return out
+    one, given the theory already contains the observed units: the clauses
+    not in the theory that it stays satisfiable with, decided on clause
+    masks without building the extended theory."""
+    present = set(theory.clauses)
+    options = [
+        c
+        for r in sorted(old_preds)
+        if r != new_pred
+        for new_pol in (True, False)
+        for old_pol in (True, False)
+        for c in (clause((new_pred, new_pol), (r, old_pol)),)
+        if c not in present
+    ]
+    # with nothing observed, every clause keeps all its literals as its mask
+    n = len(theory.clauses)
+    _, masks = residues(theory.clauses + tuple(options), {})
+    held = [masks[i] for i in range(n)]
+    return [c for k, c in enumerate(options) if satisfiable(held + [masks[n + k]])]
+
+
+def _bridge(theory: Theory, options, strategy: RevisionStrategy) -> Theory:
+    """The theory extended by the strategy's choice among the bridging
+    clauses `options`, ranked by score and then canonical text."""
+    # the canonical text of every option inserts it into one sorted rendering
+    rendering = sorted((c.sort_key(), c.render()) for c in theory.clauses)
+    keys = [key for key, _ in rendering]
+    body = [text for _, text in rendering]
+    texts = {}
+    for c in options:
+        at = bisect(keys, c.sort_key())
+        prefix = canonical_text(theory.predicates | c.predicates(), ())
+        texts[c] = prefix + "; ".join(body[:at] + [c.render()] + body[at:])
+    literal_total = sum(len(c.literals) for c in theory.clauses)
+    best = min(
+        options,
+        key=_strategy_key(
+            strategy,
+            texts.__getitem__,
+            texts.__getitem__,
+            lambda c: literal_total + len(c.literals),
+            theory.with_clause,
+        ),
+    )
+    return theory.with_clause(best)
 
 
 def revise(agent: AgentState, observations, strategy: RevisionStrategy) -> AgentState:
@@ -269,10 +370,7 @@ def revise(agent: AgentState, observations, strategy: RevisionStrategy) -> Agent
                 continue
             options = _bridging_candidates(theory, q, anchors)
             if options:
-                theory = min(
-                    options,
-                    key=lambda t: _strategy_key(strategy, t.predicates, t.clauses),
-                )
+                theory = _bridge(theory, options, strategy)
             anchors = anchors | {q}
 
     history = agent.history

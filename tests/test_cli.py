@@ -80,6 +80,27 @@ def test_frame_over_cube_limit_exit_2(tmp_path, monkeypatch):
     assert "limit of 16" in result.output or "limit of 16" in (result.stderr or "")
 
 
+def test_run_rejects_unknown_scenario_key(tmp_path):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({**SCENARIO, "runn": {"ticks": 6}}))
+    result = invoke("run", "--scenario", str(scenario), "--out", str(tmp_path / "t.jsonl"))
+    assert result.exit_code == 2
+    assert result.output.strip() == "error: runn: unknown key"
+
+
+@pytest.mark.parametrize("header, message", [
+    ({"agents": [1], "depth": 1, "ticks": "x"}, "error: header.ticks: must be an integer >= 0"),
+    ({"agents": [1], "ticks": 6}, "error: header.depth: required integer"),
+    ({"agents": [True], "depth": 1, "ticks": 6}, "error: header.agents[0]: must be an integer"),
+])
+def test_bins_rejects_bad_header(tmp_path, header, message):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(json.dumps({**header, "kind": "header"}) + "\n")
+    result = invoke("bins", "--trace", str(trace))
+    assert result.exit_code == 2
+    assert result.output.strip() == message
+
+
 def test_run_and_bins(tmp_path):
     scenario = tmp_path / "s.json"
     scenario.write_text(json.dumps(SCENARIO))
@@ -140,7 +161,7 @@ def test_agree_command_output_is_pinned(tmp_path, event, at, lines):
 
 @pytest.mark.parametrize("formula, message", [
     ("K1 p0", "error: event formulas must be propositional"),
-    # an atom outside the frame's predicates: only the exit code is pinned
+    # an atom outside the frame's predicates: the message is pinned below
     ("p7", None),
 ])
 def test_agree_command_rejects_formula_event(tmp_path, formula, message):
@@ -152,6 +173,22 @@ def test_agree_command_rejects_formula_event(tmp_path, formula, message):
     assert result.exit_code == 1
     if message is not None:
         assert result.output.strip() == message
+
+
+@pytest.mark.parametrize("formula, missing", [
+    ("p7", "p7"),
+    ("p1 & (p9 | ~p7)", "p7, p9"),
+])
+def test_agree_command_names_atoms_outside_the_frame(tmp_path, formula, missing):
+    frame = tmp_path / "f.json"
+    frame.write_text(json.dumps(SPLIT_FRAME))
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"formula": formula}))
+    result = invoke("agree", "--frame", str(frame), "--event", str(path), "--at", "000")
+    assert result.exit_code == 1
+    assert result.output.strip() == (
+        f"error: event formula names {missing}, outside the frame's predicates p0, p1, p2"
+    )
 
 
 @pytest.mark.parametrize("formula, at, line", [

@@ -63,6 +63,28 @@ def test_bad_strategy():
         scenario_from_dict(minimal(agents=[{"id": 1, "strategy": "psychic"}]))
 
 
+@pytest.mark.parametrize("overrides, path", [
+    # JSON booleans are not integers
+    ({"seed": True}, "seed"),
+    ({"initial_predicates": True}, "initial_predicates"),
+    ({"clause_arity": False}, "clause_arity"),
+    ({"agents": [{"id": True}]}, "agents[0].id"),
+    ({"agents": [{"id": 1, "niche": [True]}]}, "agents[0].niche"),
+    ({"agents": [{"id": 1, "strategy_seed": False}]}, "agents[0].strategy_seed"),
+    ({"run": {"ticks": True}}, "run.ticks"),
+    ({"run": {"depth": False}}, "run.depth"),
+    ({"run": {"replicates": True}}, "run.replicates"),
+    # misspelt keys would otherwise fall back to defaults
+    ({"runn": {"ticks": 5}}, "runn"),
+    ({"agents": [{"id": 1, "visibilty": "1/2"}]}, "agents[0].visibilty"),
+    ({"run": {"tick": 5}}, "run.tick"),
+])
+def test_schema_rejects_booleans_and_unknown_keys(overrides, path):
+    with pytest.raises(SchemaError) as exc:
+        scenario_from_dict(minimal(**overrides))
+    assert exc.value.path == path
+
+
 def test_load_scenario_file(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(minimal()))

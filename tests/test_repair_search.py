@@ -1,22 +1,27 @@
-"""Repair search checked against a slow reference.
+"""Repair search and bridging checked against a slow reference.
 
 `reference_propose_revisions` is the search as first written: it builds a
-`Theory` for every retraction set and asks `Theory.models` whether it is
-consistent.  The engine decides consistency on clause bitmasks instead, stops
-the deductive search early and computes ranking keys lazily; these tests hold
-it to the same ranked repairs.
+`Theory` for every retraction set, asks `Theory.models` whether it is
+consistent and ranks by (score, age, canonical text).  The engine decides
+consistency on clause bitmasks instead, stops the deductive search early,
+scores candidates from their retraction sets and breaks ties on age alone;
+these tests hold it to the same ranked repairs.  `reference_revise` likewise
+builds every bridging candidate with `Theory.with_clause` and asks `models`,
+where the engine decides bridging clauses on masks.
 """
 
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oee.epistemics import agent_state
 from oee.revision import (
     RevisionStrategy,
     StrategyKind,
+    _bridging_candidates,
     propose_revisions,
+    revise,
     symmetry_score,
 )
 from oee.rng import mix
@@ -115,6 +120,48 @@ def reference_propose_revisions(agent, conflict, strategy: RevisionStrategy, bud
     return ranked
 
 
+def reference_bridging_candidates(theory: Theory, new_pred: int, old_preds):
+    """Every consistent bridging clause, as the theory it extends."""
+    out = []
+    for r in sorted(old_preds):
+        if r == new_pred:
+            continue
+        for new_pol in (True, False):
+            for old_pol in (True, False):
+                c = clause((new_pred, new_pol), (r, old_pol))
+                if c in theory.clauses:
+                    continue
+                candidate = theory.with_clause(c)
+                if candidate.models():
+                    out.append(candidate)
+    return out
+
+
+def reference_revise(agent, observations, strategy: RevisionStrategy) -> Theory:
+    """The theory `revise` gives, from the reference repair search and
+    bridging, each bridge ranked by (score, canonical text)."""
+    obs = frozenset(observations)
+    deductive = strategy.kind is StrategyKind.DEDUCTIVE
+    old = agent.theory
+    units = tuple(unit(p, v) for p, v in sorted(obs))
+    theory = Theory(old.predicates | {p for p, _ in obs},
+                    old.clauses + tuple(u for u in units if u not in old.clauses))
+    if not theory.models():
+        theory = reference_propose_revisions(agent, obs, strategy, 1 if deductive else 16)[0]
+    if deductive:
+        return theory
+    anchors = agent.predicates
+    for q in sorted({p for p, _ in obs} - agent.predicates):
+        if not anchors:
+            anchors = {p for p in theory.predicates if p != q}
+            continue
+        options = reference_bridging_candidates(theory, q, anchors)
+        if options:
+            theory = min(options, key=lambda t: reference_key(strategy, t, (), 0))
+        anchors = anchors | {q}
+    return theory
+
+
 # --- generators ----------------------------------------------------------------
 
 PREDICATES = range(8)
@@ -157,7 +204,7 @@ def consistent(literals):
 
 
 strategies = st.builds(
-    RevisionStrategy, st.sampled_from(list(StrategyKind)), st.integers(0, 3)
+    RevisionStrategy, st.sampled_from(list(StrategyKind)), st.integers(0, 2**64 - 1)
 )
 
 
@@ -184,6 +231,28 @@ def test_kernel_verdict_matches_models(theory, data):
     verdict = falsified <= retracted and satisfiable(
         [r for i, r in residue.items() if i not in retracted])
     assert verdict == bool(repair(theory, conflict, retracted).models())
+
+
+@settings(max_examples=300, deadline=None)
+@given(theories().flatmap(lambda t: st.tuples(st.just(t), conflicts(t))), strategies)
+def test_revise_matches_reference(case, strategy):
+    # observations may name predicates the theory lacks, so bridging runs
+    theory, observations = case
+    assume(theory.models())
+    a = agent_state(1, theory)
+    observations = consistent(observations)
+    assert revise(a, observations, strategy).theory == reference_revise(a, observations, strategy)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theories(), st.data())
+def test_bridging_verdicts_match_models(theory, data):
+    assume(theory.models())
+    new_pred = data.draw(st.sampled_from(sorted(theory.predicates | {8})))
+    old_preds = data.draw(st.sets(st.sampled_from(PREDICATES)))
+    theory = Theory(theory.predicates | old_preds | {new_pred}, theory.clauses)
+    assert [theory.with_clause(c) for c in _bridging_candidates(theory, new_pred, old_preds)] \
+        == reference_bridging_candidates(theory, new_pred, old_preds)
 
 
 @st.composite

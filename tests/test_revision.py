@@ -161,7 +161,8 @@ def test_aesthetic_prefers_symmetric_bridge():
     # the chosen theory maximizes the symmetry score among consistent options
     base = theory_of({0, 1}, unit(0, True), unit(1, True))
     options = _bridging_candidates(base, 1, {0})
-    assert symmetry_score(out.theory) == max(symmetry_score(t) for t in options)
+    assert symmetry_score(out.theory) == max(
+        symmetry_score(base.with_clause(c)) for c in options)
 
 
 # --- classify_extension ------------------------------------------------------
