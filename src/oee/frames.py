@@ -32,6 +32,12 @@ def state_from_bits(bits: str, predicates) -> State:
     )
 
 
+def _states(raw, predicates, path: str) -> frozenset[State]:
+    if not isinstance(raw, list) or not all(isinstance(b, str) for b in raw):
+        raise SchemaError(path, "must be a list of bitstrings")
+    return frozenset(state_from_bits(b, predicates) for b in raw)
+
+
 def load_frame(path) -> SharedFrame:
     with open(path) as fh:
         try:
@@ -41,15 +47,15 @@ def load_frame(path) -> SharedFrame:
     if not isinstance(data, dict):
         raise SchemaError("$", "frame must be an object")
     predicates = data.get("predicates")
-    if not isinstance(predicates, list) or not all(isinstance(p, int) for p in predicates):
+    if not isinstance(predicates, list) or not all(
+        isinstance(p, int) and not isinstance(p, bool) for p in predicates
+    ):
         raise SchemaError("predicates", "must be a list of predicate indices")
     raw_partitions = data.get("partitions")
     if not isinstance(raw_partitions, dict) or not raw_partitions:
         raise SchemaError("partitions", "must map agent ids to class lists")
     if "ground" in data:
-        ground = frozenset(
-            state_from_bits(b, predicates) for b in data["ground"]
-        )
+        ground = _states(data["ground"], predicates, "ground")
     else:
         try:
             ground = full_cube(predicates)
@@ -64,7 +70,7 @@ def load_frame(path) -> SharedFrame:
         if not isinstance(classes, list):
             raise SchemaError(f"partitions.{key}", "must be a list of state lists")
         built = [
-            frozenset(state_from_bits(b, predicates) for b in cls) for cls in classes
+            _states(cls, predicates, f"partitions.{key}[{n}]") for n, cls in enumerate(classes)
         ]
         try:
             partitions[agent] = partition_from_classes(ground, built)
@@ -82,9 +88,7 @@ def load_event(path, frame: SharedFrame) -> frozenset[State]:
         except json.JSONDecodeError as exc:
             raise SchemaError("$", f"invalid JSON: {exc}")
     if isinstance(data, dict) and "states" in data:
-        return frozenset(
-            state_from_bits(b, frame.shared_predicates) for b in data["states"]
-        )
+        return _states(data["states"], frame.shared_predicates, "states")
     if isinstance(data, dict) and "formula" in data:
         formula = parse(data["formula"])
         missing = atoms(formula) - frame.shared_predicates

@@ -520,27 +520,41 @@ def export(obj, fmt: str, path) -> None:
     raise TypeError(f"cannot export {type(obj).__name__}")
 
 
+def _trace_event(record: dict, path: str) -> TraceEvent:
+    """The event a trace line holds: `tick` and `seq` integers >= 0, `kind` a
+    string, `agent` an integer or null, `payload` an object."""
+    for key in ("tick", "seq", "kind", "agent", "payload"):
+        if key not in record:
+            raise SchemaError(f"{path}.{key}", "required")
+    tick = _integer(record["tick"], f"{path}.tick", 0)
+    seq = _integer(record["seq"], f"{path}.seq", 0)
+    if not isinstance(record["kind"], str):
+        raise SchemaError(f"{path}.kind", "must be a string")
+    if record["agent"] is not None:
+        _integer(record["agent"], f"{path}.agent")
+    if not isinstance(record["payload"], dict):
+        raise SchemaError(f"{path}.payload", "must be an object")
+    return TraceEvent(tick, seq, record["kind"], record["agent"], record["payload"])
+
+
 def ingest_trace(path) -> Trace:
     events = []
     header = None
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"line {n}", f"invalid JSON: {exc}")
+            if not isinstance(record, dict):
+                raise SchemaError(f"line {n}", "must be an object")
             if record.get("kind") == "header":
                 header = record
                 continue
-            events.append(
-                TraceEvent(
-                    record["tick"],
-                    record["seq"],
-                    record["kind"],
-                    record["agent"],
-                    record["payload"],
-                )
-            )
+            events.append(_trace_event(record, f"line {n}"))
     if header is None:
         raise ValueError("trace file has no header line")
     for key in ("ticks", "depth"):

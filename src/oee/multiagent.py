@@ -12,17 +12,21 @@ the ground, through one mask view per frame (`SharedFrame.masks`), built on
 first use: the ground numbered in `State.sort_key` order (bit k for the k-th
 state), each agent's class masks and the class mask of every state, and, on
 first need, the class mask of every state in the meet, taken from one call to
-`meet`.  Formulas become masks through `formula.event_mask`.  The posterior
-profile event is the union of the classes C whose popcount ratio |E & C| / |C|
-equals the agent's posterior at the evaluation state, common knowledge of E at
-w is `meet(w) & ~E == 0`, and K_i(E) is the mask of the states whose class
-mask lies inside E.
+`meet`.  Formulas become masks through `formula.event_mask`; S5 validation
+takes its base events from truth tables over the cube of the base predicates,
+evaluated once per (base predicates, depth) and cached, and projects each
+table onto the frame's ground by the base-predicate code of every state.  The
+posterior profile event is the union of the classes C whose popcount ratio
+|E & C| / |C| equals the agent's posterior at the evaluation state, common
+knowledge of E at w is `meet(w) & ~E == 0`, and K_i(E) is the mask of the
+states whose class mask lies inside E.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .epistemics import AgentState, Partition, information_partition, \
@@ -396,11 +400,12 @@ def _knowledge_mask(succ: list[int], event: int) -> int:
     return out
 
 
-def _validate_schemes(states, succ, agents, base_formulas) -> list[SchemeReport]:
-    """Every scheme instance over the distinct events of the base formulas,
-    given the ground in `State.sort_key` order and, per agent, the successor
-    mask of every state (bit k for `states[k]`), so that the lowest failing
-    bit is the minimum counterexample state."""
+def _validate_schemes(states, succ, agents, events) -> list[SchemeReport]:
+    """Every scheme instance over the distinct base events, given as (event
+    mask, first witness formula) pairs, the ground in `State.sort_key` order
+    and, per agent, the successor mask of every state (bit k for
+    `states[k]`), so that the lowest failing bit is the minimum
+    counterexample state."""
     full = (1 << len(states)) - 1
     known: dict = {i: {} for i in agents}
 
@@ -410,15 +415,6 @@ def _validate_schemes(states, succ, agents, base_formulas) -> list[SchemeReport]
         if out is None:
             out = memo[event] = _knowledge_mask(succ[i], event)
         return out
-
-    # distinct events suffice: every scheme is extensional, so keep the first
-    # witness formula per event (at most 2^|ground| of them)
-    base_formulas = list(base_formulas)
-    masks: dict = {}
-    witnesses: dict = {}
-    for f in base_formulas:
-        witnesses.setdefault(event_mask(f, states, full, masks), f)
-    events = list(witnesses.items())
 
     reports = []
 
@@ -467,11 +463,47 @@ def _validate_schemes(states, succ, agents, base_formulas) -> list[SchemeReport]
     return reports
 
 
-def _s5_base_formulas(predicates: frozenset[int], depth: int):
+@lru_cache(maxsize=256)
+def _cube_tables(predicates: tuple[int, ...], depth: int) -> tuple[tuple[int, Formula], ...]:
+    """The distinct truth tables of the base formulas (propositional, depth
+    <= `depth`, over the sorted base predicates), each with its first witness
+    formula, in enumeration order.  Bit c of a table is the formula's value at
+    the cube state with code c: predicates[j] true when bit j of c is set.
+    An empty predicate set or a negative depth raises ValueError."""
     from .formula import enumerate_sentences
 
-    preds = sorted(predicates)[:2]
-    return enumerate_sentences(frozenset(preds), depth)
+    domain = frozenset(predicates)
+    cube = [
+        State(domain, frozenset(p for j, p in enumerate(predicates) if c >> j & 1))
+        for c in range(1 << len(predicates))
+    ]
+    full = (1 << len(cube)) - 1
+    masks: dict = {}
+    witnesses: dict = {}
+    for f in enumerate_sentences(domain, depth):
+        witnesses.setdefault(event_mask(f, cube, full, masks), f)
+    return tuple(witnesses.items())
+
+
+def _base_events(states, predicates, depth: int) -> list[tuple[int, Formula]]:
+    """The distinct events of the base formulas over the first two of the
+    predicates on the ground `states` (bit k for `states[k]`), each with its
+    first witness formula, in enumeration order.  Every scheme is
+    extensional, so these events stand for all the base formulas."""
+    preds = tuple(sorted(predicates)[:2])
+    tables = _cube_tables(preds, depth)
+    # the ground mask of each cube code: bit k set when states[k] has that code
+    at_code = [0] * (1 << len(preds))
+    for k, w in enumerate(states):
+        at_code[sum(1 << j for j, p in enumerate(preds) if w.value(p))] |= 1 << k
+    witnesses: dict = {}
+    for table, f in tables:
+        event = 0
+        for c, ground in enumerate(at_code):
+            if table >> c & 1:
+                event |= ground
+        witnesses.setdefault(event, f)
+    return list(witnesses.items())
 
 
 def validate_s5(frame: SharedFrame, depth: int) -> list[SchemeReport]:
@@ -482,14 +514,17 @@ def validate_s5(frame: SharedFrame, depth: int) -> list[SchemeReport]:
     `State.sort_key` order, every base formula (propositional, depth <=
     `depth`, over the first two shared predicates) becomes the mask of the
     states where it holds, and agent i knows E at w when w's information
-    class lies inside E, K_i(E) = {w : class_i(w) <= E}.  Each scheme is
-    checked on the masks of the distinct base events; a failure reports the
-    first failing instance's formula and its minimum state."""
+    class lies inside E, K_i(E) = {w : class_i(w) <= E}.  The base events
+    come from truth tables over the cube of the base predicates, evaluated
+    once per (base predicates, depth) and cached, then projected onto the
+    ground.  Each scheme is checked on the masks of the distinct base events;
+    a failure reports the first failing instance's formula and its minimum
+    state."""
     if not frame.closed:
         raise NotClosedMode("agents must share one predicate set")
     view = frame.masks()
-    base = _s5_base_formulas(frame.shared_predicates, depth)
-    return _validate_schemes(view.states, view.class_at, frame.agents, base)
+    events = _base_events(view.states, frame.shared_predicates, depth)
+    return _validate_schemes(view.states, view.class_at, frame.agents, events)
 
 
 def validate_relation(ground, relation: dict, agents, predicates, depth: int):
@@ -521,5 +556,5 @@ def validate_relation(ground, relation: dict, agents, predicates, depth: int):
     states = sorted(ground, key=State.sort_key)
     index = {w: k for k, w in enumerate(states)}
     successors = [sum(1 << index[v] for v in set(relation[w])) for w in states]
-    base = _s5_base_formulas(predicates, depth)
-    return _validate_schemes(states, {i: successors for i in agents}, tuple(agents), base)
+    events = _base_events(states, predicates, depth)
+    return _validate_schemes(states, {i: successors for i in agents}, tuple(agents), events)

@@ -60,6 +60,20 @@ def test_check_bad_frame_exit_2(tmp_path):
     assert result.exit_code == 2  # classes do not cover the ground
 
 
+@pytest.mark.parametrize("frame, message", [
+    ({**FRAME, "predicates": [True, 0]}, "error: predicates: must be a list of predicate indices"),
+    ({**FRAME, "ground": "0011"}, "error: ground: must be a list of bitstrings"),
+    ({**FRAME, "partitions": {"1": ["00", "01", "10", "11"]}},
+     "error: partitions.1[0]: must be a list of bitstrings"),
+])
+def test_check_rejects_bad_frame_field(tmp_path, frame, message):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(frame))
+    result = invoke("check", "--frame", str(path), "--formula", "p0", "--at", "00")
+    assert result.exit_code == 2
+    assert result.output.strip() == message
+
+
 def test_frame_over_cube_limit_exit_2(tmp_path, monkeypatch):
     from oee import frames, multiagent
     from oee.harness import SchemaError
@@ -96,6 +110,27 @@ def test_run_rejects_unknown_scenario_key(tmp_path):
 def test_bins_rejects_bad_header(tmp_path, header, message):
     trace = tmp_path / "t.jsonl"
     trace.write_text(json.dumps({**header, "kind": "header"}) + "\n")
+    result = invoke("bins", "--trace", str(trace))
+    assert result.exit_code == 2
+    assert result.output.strip() == message
+
+
+EVENT = {"tick": 2, "seq": 0, "kind": "revision", "agent": 1, "payload": {}}
+
+
+@pytest.mark.parametrize("event, message", [
+    ({k: v for k, v in EVENT.items() if k != "tick"}, "error: line 2.tick: required"),
+    ({**EVENT, "tick": "2"}, "error: line 2.tick: must be an integer >= 0"),
+    ({**EVENT, "seq": True}, "error: line 2.seq: must be an integer >= 0"),
+    ({**EVENT, "kind": 3}, "error: line 2.kind: must be a string"),
+    ({**EVENT, "agent": "1"}, "error: line 2.agent: must be an integer"),
+    ({**EVENT, "payload": []}, "error: line 2.payload: must be an object"),
+    ([EVENT], "error: line 2: must be an object"),
+])
+def test_bins_rejects_bad_event(tmp_path, event, message):
+    trace = tmp_path / "t.jsonl"
+    header = {"kind": "header", "agents": [1], "depth": 1, "ticks": 3}
+    trace.write_text(json.dumps(header) + "\n" + json.dumps(event) + "\n")
     result = invoke("bins", "--trace", str(trace))
     assert result.exit_code == 2
     assert result.output.strip() == message

@@ -17,7 +17,7 @@ from oee.epistemics import (
     local_knowledge,
     partition_from_classes,
 )
-from oee.formula import Atom, Know, Not, parse, render
+from oee.formula import Atom, Know, Not, enumerate_sentences, parse, render
 from oee.universe import State, Theory, clause, empty_theory, unit
 
 
@@ -86,6 +86,29 @@ def test_knowledge_list_inconsistent_theory_vacuous():
     assert not check_theory(a.theory).consistent
     # empty model: everything is vacuously entailed true
     assert all(v for _, v in knowledge_list(a, 1))
+
+
+@st.composite
+def random_theories(draw):
+    """A random theory over one to three predicates, inconsistent ones
+    included (units of both polarities may be drawn)."""
+    preds = list(range(draw(st.integers(1, 3))))
+    literal = st.tuples(st.sampled_from(preds), st.booleans())
+    clauses = [clause(*dict(lits).items())
+               for lits in draw(st.lists(st.lists(literal, min_size=1, max_size=2), max_size=4))]
+    return Theory(frozenset(preds), tuple(dict.fromkeys(clauses)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_theories(), st.integers(0, 2))
+def test_knowledge_list_matches_per_sentence_decide(theory, depth):
+    a = agent(theory)
+    reference = []
+    for f in enumerate_sentences(a.predicates, depth):
+        verdict = decide(a, f)
+        if verdict in (Truth3.TRUE, Truth3.FALSE):
+            reference.append((f, verdict is Truth3.TRUE))
+    assert knowledge_list(a, depth) == reference
 
 
 # --- contextual possible -----------------------------------------------------

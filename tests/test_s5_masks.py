@@ -1,20 +1,23 @@
 """S5 validation checked against a slow reference.
 
 `reference_validate_schemes` is the scheme check as first written: it builds
-`Know`/`Implies` formula trees for every instance and evaluates them to state
-sets through a formula-keyed cache.  The engine evaluates base formulas to
-bitmasks over the ground and applies the knowledge operator to masks; these
-tests hold it to the same reports, counterexamples included.
+`Know`/`Implies` formula trees for every instance, over every enumerated base
+formula, and evaluates them to state sets through a formula-keyed cache.  The
+engine evaluates the base formulas once per (base predicates, depth) to truth
+tables over the cube, projects them onto the ground as bitmasks and applies
+the knowledge operator to masks; these tests hold it to the same reports,
+counterexamples included.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oee.epistemics import partition_from_classes
-from oee.formula import And, Atom, Implies, Know, Not, Or, render
+from oee import multiagent
+from oee.formula import And, Atom, Implies, Know, Not, Or, enumerate_sentences, render
 from oee.multiagent import (
     SchemeReport,
-    _s5_base_formulas,
     frame_from_partitions,
     full_cube,
     validate_relation,
@@ -23,6 +26,12 @@ from oee.multiagent import (
 from oee.universe import State
 
 # --- reference ---------------------------------------------------------------
+
+
+def _s5_base_formulas(predicates, depth):
+    """The base formulas: every propositional formula of depth <= `depth`
+    over the first two predicates, in enumeration order."""
+    return enumerate_sentences(frozenset(sorted(predicates)[:2]), depth)
 
 
 def reference_extension(f, ground, access, cache) -> frozenset:
@@ -134,10 +143,12 @@ def reference_validate_relation(ground, relation, agents, predicates, depth):
 
 @st.composite
 def grounds(draw):
-    """1-4 states of the cube over two random atoms."""
-    domain = frozenset(draw(st.lists(st.integers(0, 15), min_size=2, max_size=2, unique=True)))
+    """1-8 states of the cube over one to three random atoms.  With three,
+    states that differ only in the third atom share a code over the two base
+    predicates."""
+    domain = frozenset(draw(st.lists(st.integers(0, 15), min_size=1, max_size=3, unique=True)))
     cube = sorted(full_cube(domain), key=State.sort_key)
-    ground = draw(st.lists(st.sampled_from(cube), min_size=1, max_size=4, unique=True))
+    ground = draw(st.lists(st.sampled_from(cube), min_size=1, max_size=8, unique=True))
     return domain, ground
 
 
@@ -185,3 +196,39 @@ def test_validate_relation_matches_reference(case, depth):
     ground, relation, agents, predicates = case
     assert validate_relation(ground, relation, agents, predicates, depth) == \
         reference_validate_relation(ground, relation, agents, predicates, depth)
+
+
+def test_validate_s5_evaluates_base_formulas_once(monkeypatch):
+    """Many frames with one predicate set and depth: the base formulas are
+    evaluated once in total, not once per frame."""
+    calls = []
+    event_mask = multiagent.event_mask
+
+    def counted(f, states, full, masks):
+        calls.append(f)
+        return event_mask(f, states, full, masks)
+
+    monkeypatch.setattr(multiagent, "event_mask", counted)
+    multiagent._cube_tables.cache_clear()
+    predicates = frozenset({3, 9})
+    cube = sorted(full_cube(predicates), key=State.sort_key)
+    for ground in (cube, cube[:3], cube[1:]):
+        for classes in ([ground], [[w] for w in ground]):
+            partition = partition_from_classes(ground, classes)
+            frame = frame_from_partitions(predicates, ground, {1: partition, 2: partition})
+            for depth in (2, 1):
+                assert validate_s5(frame, depth) == reference_validate_s5(frame, depth)
+    base = len(_s5_base_formulas(predicates, 2)) + len(_s5_base_formulas(predicates, 1))
+    assert len(calls) == base
+
+
+def test_validate_rejects_empty_predicates_and_negative_depth_every_time():
+    w = State(frozenset({0}), frozenset())
+    frame = frame_from_partitions({0}, [w], {1: partition_from_classes([w], [[w]])})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            validate_s5(frame, -1)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            validate_relation([w], {w: {w}}, [1], {0}, -1)
+        with pytest.raises(ValueError, match="predicate set must be nonempty"):
+            validate_relation([w], {w: {w}}, [1], set(), 1)
