@@ -117,17 +117,12 @@ def decide(agent: AgentState, f: Formula) -> Truth3:
 
 
 def knowledge_list(agent: AgentState, depth: int) -> list[tuple[Formula, bool]]:
-    """Every enumerated sentence the agent decides, paired with its value:
-    `decide` on each, over one model list and one `event_mask` memo, since
-    every enumerated sentence is propositional and in the agent's language."""
+    """Every enumerated sentence the agent decides, paired with its value."""
     if not agent.predicates:
         return []
-    models = agent.theory.models()
-    full = (1 << len(models)) - 1
-    masks: dict = {}
     out = []
     for f in enumerate_sentences(agent.predicates, depth):
-        verdict = truth_of_mask(event_mask(f, models, full, masks), full)
+        verdict = decide(agent, f)
         if verdict is Truth3.TRUE:
             out.append((f, True))
         elif verdict is Truth3.FALSE:
