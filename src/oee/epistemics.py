@@ -146,22 +146,20 @@ def local_knowledge(agent: AgentState, omega: State, depth: int) -> frozenset[Fo
     return frozenset(out)
 
 
-def information_partition(agent: AgentState, depth: int) -> Partition:
+def information_partition(agent: AgentState) -> Partition:
     """States of the contextual possible, merged when indistinguishable: equal
     κ and agreement on every currently observed literal.
 
     κ never splits a class, so the states are grouped by their observation
-    signature alone and `depth` cannot change the result: a sentence is
-    decided TRUE only when it holds in every model, so κ(ω) (`local_knowledge`)
-    is the same set at every model state ω, at any depth.  As when κ was
-    computed, an empty language or a negative depth raises ValueError."""
+    signature alone, and the partition is the same at every sentence depth: a
+    sentence is decided TRUE only when it holds in every model, so κ(ω)
+    (`local_knowledge`) is the same set at every model state ω.  An empty
+    language raises ValueError."""
     model = contextual_possible(agent)
     if not model:
         raise EmptyModel("inconsistent theory: no states to partition")
     if not agent.predicates:
         raise ValueError("predicate set must be nonempty")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     obs = sorted(agent.observations)
     groups: dict[tuple, set[State]] = {}
     for omega in model:
@@ -180,7 +178,6 @@ def adjacent_possible(before: AgentState, after: AgentState) -> frozenset[State]
 @dataclass(frozen=True, slots=True)
 class TheoryReport:
     consistent: bool
-    coherent: bool
     complete: bool
 
 
@@ -189,14 +186,14 @@ def check_theory(t: Theory) -> TheoryReport:
     consistent = bool(models)
     if not consistent:
         # vacuous entailment decides everything both ways
-        return TheoryReport(consistent=False, coherent=False, complete=True)
+        return TheoryReport(consistent=False, complete=True)
     complete = True
     for p in sorted(t.predicates):
         values = {s.value(p) for s in models}
         if len(values) != 1:
             complete = False
             break
-    return TheoryReport(consistent=True, coherent=True, complete=complete)
+    return TheoryReport(consistent=True, complete=complete)
 
 
 def closure_check(sentences, agent_id: int) -> bool:

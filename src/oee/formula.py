@@ -184,9 +184,6 @@ class ParseError(ValueError):
         )
 
 
-_SIMPLE_TOKENS = ("->", "~", "&", "|", "(", ")", "{", "}", ",")
-
-
 def _tokenize(text: str):
     tokens = []
     i = 0

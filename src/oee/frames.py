@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 
 from .epistemics import partition_from_classes
-from .harness import SchemaError
+from .harness import SchemaError, _integer, _known_keys
 from .multiagent import SharedFrame, frame_from_partitions, full_cube
 from .universe import State
 
@@ -38,6 +38,9 @@ def _states(raw, predicates, path: str) -> frozenset[State]:
     return frozenset(state_from_bits(b, predicates) for b in raw)
 
 
+_FRAME_KEYS = ("predicates", "partitions", "ground")
+
+
 def load_frame(path) -> SharedFrame:
     with open(path) as fh:
         try:
@@ -46,11 +49,17 @@ def load_frame(path) -> SharedFrame:
             raise SchemaError("$", f"invalid JSON: {exc}")
     if not isinstance(data, dict):
         raise SchemaError("$", "frame must be an object")
+    _known_keys(data, _FRAME_KEYS, "")
     predicates = data.get("predicates")
     if not isinstance(predicates, list) or not all(
         isinstance(p, int) and not isinstance(p, bool) for p in predicates
     ):
         raise SchemaError("predicates", "must be a list of predicate indices")
+    seen = set()
+    for i, p in enumerate(predicates):
+        if _integer(p, f"predicates[{i}]", minimum=0) in seen:
+            raise SchemaError("predicates", f"repeats predicate {p}")
+        seen.add(p)
     raw_partitions = data.get("partitions")
     if not isinstance(raw_partitions, dict) or not raw_partitions:
         raise SchemaError("partitions", "must map agent ids to class lists")

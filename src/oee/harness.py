@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -266,10 +266,6 @@ def coverage_fraction(agent: AgentState, revealed: frozenset[int], actual: State
 # --- run engine --------------------------------------------------------------
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def run_full(scenario: Scenario, replicate: int) -> RunResult:
     run_seed = mix(scenario.seed, replicate)
     g = UniverseGenerator(
@@ -344,12 +340,12 @@ def run_full(scenario: Scenario, replicate: int) -> RunResult:
                     (_jaccard(state.predicates, o.predicates) for o in others),
                     Fraction(0),
                 ) / len(others)
-                disjointness_str = _fraction_str(disjointness)
+                disjointness_str = str(disjointness)
             else:
                 disjointness_str = None
             extension, adjacent = per_agent_revision.get(spec.id, (None, 0))
             emit(tick, "metrics", spec.id, {
-                "coverage": _fraction_str(coverage),
+                "coverage": str(coverage),
                 "disjointness": disjointness_str,
                 "adjacent": adjacent,
                 "extension": extension.value if extension else None,
@@ -430,17 +426,10 @@ def compare_strategies(scenario: Scenario, replicate: int = 0, depth: int | None
     deductive twin leaves Undecidable or NotInLanguage."""
     if depth is None:
         depth = scenario.run.depth
-    deductive = Scenario(
-        seed=scenario.seed,
-        weights=scenario.weights,
-        initial_predicates=scenario.initial_predicates,
-        clause_arity=scenario.clause_arity,
-        agents=tuple(
-            AgentSpec(s.id, s.niche, s.visibility, RevisionStrategy(StrategyKind.DEDUCTIVE, s.strategy.seed))
-            for s in scenario.agents
-        ),
-        run=scenario.run,
-    )
+    deductive = replace(scenario, agents=tuple(
+        replace(s, strategy=RevisionStrategy(StrategyKind.DEDUCTIVE, s.strategy.seed))
+        for s in scenario.agents
+    ))
     configured = run_full(scenario, replicate)
     baseline = run_full(deductive, replicate)
     actual = configured.universe.actual

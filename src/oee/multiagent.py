@@ -207,14 +207,14 @@ def _coarsen_onto(ground: frozenset[State], projected_classes) -> Partition:
     return partition_from_classes(ground, merged)
 
 
-def build_shared_frame(agents: list[AgentState], depth: int) -> SharedFrame:
+def build_shared_frame(agents: list[AgentState]) -> SharedFrame:
     if not agents:
         raise ValueError("need at least one agent")
     shared = frozenset.intersection(*(a.predicates for a in agents))
     ground = full_cube(shared)
     projected = {}
     for a in agents:
-        partition = information_partition(a, depth)
+        partition = information_partition(a)
         projected_classes = [
             frozenset(s.restrict(shared) for s in cls) for cls in partition.classes
         ]

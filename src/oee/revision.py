@@ -19,7 +19,6 @@ from itertools import combinations
 from .epistemics import AgentState
 from .rng import mix
 from .universe import (
-    Clause,
     Theory,
     canonical_text,
     clause,
@@ -297,11 +296,8 @@ def _bridging_candidates(theory: Theory, new_pred: int, old_preds):
         for c in (clause((new_pred, new_pol), (r, old_pol)),)
         if c not in present
     ]
-    # with nothing observed, every clause keeps all its literals as its mask
-    n = len(theory.clauses)
-    _, masks = residues(theory.clauses + tuple(options), {})
-    held = [masks[i] for i in range(n)]
-    return [c for k, c in enumerate(options) if satisfiable(held + [masks[n + k]])]
+    held = [c.masks for c in theory.clauses]
+    return [c for c in options if satisfiable(held + [c.masks])]
 
 
 def _bridge(theory: Theory, options, strategy: RevisionStrategy) -> Theory:
@@ -384,19 +380,15 @@ def _project(theory: Theory, shared: frozenset[int]):
     return frozenset(s.restrict(shared) for s in theory.models())
 
 
-@lru_cache(maxsize=1 << 16)
-def _entailed_by(c: Clause, theory: Theory) -> bool:
-    if not c.predicates() <= theory.predicates:
-        return False
-    return all(c.satisfied_by(s) for s in theory.models())
-
-
 def classify_extension(old: Theory, new: Theory) -> ExtensionClass:
     shared = old.predicates & new.predicates
     if not _project(new, shared) <= _project(old, shared):
         return ExtensionClass.NOT_AN_EXTENSION
     if new.predicates != old.predicates:
         return ExtensionClass.ESSENTIAL
-    if all(_entailed_by(c, old) for c in new.clauses):
+    # over one language, a clause of `new` is entailed when every model of
+    # `old` satisfies it
+    models = old.models()
+    if all(c.satisfied_by(s) for c in new.clauses for s in models):
         return ExtensionClass.INESSENTIAL
     return ExtensionClass.ESSENTIAL

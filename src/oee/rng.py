@@ -61,17 +61,7 @@ class SplitMix64:
         """Bernoulli draw with exact rational probability."""
         return self.next_u64() * p.denominator < p.numerator << 64
 
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
-
 
 def stream(*key: int) -> SplitMix64:
     """A fresh generator for the given stream key."""
     return SplitMix64(mix(*key))
-
-
-def chance_at(key: tuple[int, ...], p: Fraction) -> bool:
-    """Stateless Bernoulli draw keyed by a stream key (no generator advanced)."""
-    return mix(*key) * p.denominator < p.numerator << 64

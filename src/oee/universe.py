@@ -4,11 +4,17 @@ trajectory, and per-tick novelty events (variation / innovation / emergence).
 The generator owns a single splitmix64 stream; observations are drawn from
 stateless hashes keyed by (agent seed, tick, predicate) so that agent
 observation never perturbs Nature's stream.
+
+Every clause carries its integer form (pos_mask, neg_mask), bit p for
+predicate p, and one procedure decides clause sets: `solutions`, unit
+propagation and a split, which yields disjoint cubes of satisfying
+assignments.  `satisfiable` asks it for one cube, and `_models` (behind
+`Theory.models`) expands every cube over the predicates it leaves free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -59,16 +65,26 @@ class State:
 
 @dataclass(frozen=True, slots=True)
 class Clause:
-    """Disjunction of literals (predicate, polarity)."""
+    """Disjunction of literals (predicate, polarity).  `masks` is its integer
+    form (pos_mask, neg_mask), bit p for predicate p."""
 
     literals: frozenset[tuple[int, bool]]
+    masks: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.literals:
             raise ValueError("clause must be nonempty")
-        preds = [p for p, _ in self.literals]
-        if len(set(preds)) != len(preds):
-            raise ValueError("clause may not mention a predicate with both polarities")
+        pos = neg = 0
+        for p, pol in self.literals:
+            if p < 0:
+                raise ValueError(f"clause mentions the negative predicate index {p}")
+            if (pos | neg) >> p & 1:
+                raise ValueError("clause may not mention a predicate with both polarities")
+            if pol:
+                pos |= 1 << p
+            else:
+                neg |= 1 << p
+        object.__setattr__(self, "masks", (pos, neg))
 
     def predicates(self) -> frozenset[int]:
         return frozenset(p for p, _ in self.literals)
@@ -151,30 +167,33 @@ def residues(clauses, observed):
     the indices of the clauses the observation falsifies and, for each clause
     it leaves open, its index -> (pos_mask, neg_mask) over the unobserved
     predicates.  Clauses the observation satisfies are in neither."""
-    bit: dict[int, int] = {}
+    true = false = 0
+    for p, v in observed.items():
+        if v:
+            true |= 1 << p
+        else:
+            false |= 1 << p
     falsified = []
     residue = {}
     for i, c in enumerate(clauses):
-        pos = neg = 0
-        for p, pol in c.literals:
-            if p in observed:
-                if observed[p] == pol:
-                    break
-            elif pol:
-                pos |= bit.setdefault(p, 1 << len(bit))
-            else:
-                neg |= bit.setdefault(p, 1 << len(bit))
+        pos, neg = c.masks
+        if pos & true or neg & false:
+            continue
+        pos &= ~false
+        neg &= ~true
+        if pos | neg:
+            residue[i] = (pos, neg)
         else:
-            if pos | neg:
-                residue[i] = (pos, neg)
-            else:
-                falsified.append(i)
+            falsified.append(i)
     return frozenset(falsified), residue
 
 
-def satisfiable(masks) -> bool:
-    """Whether one assignment satisfies every (pos_mask, neg_mask) clause:
-    unit propagation, then a split on a literal of a clause left open."""
+def solutions(masks):
+    """The assignments satisfying every (pos_mask, neg_mask) clause, as
+    disjoint cubes (true_mask, false_mask): every assignment that extends a
+    cube satisfies the clauses, and every one that does extends exactly one
+    cube.  Unit propagation, then a split on a literal of a clause left open,
+    true before false (Davis, Logemann & Loveland, CACM 1962)."""
     true = false = 0
     while True:
         open_clauses = []
@@ -186,7 +205,7 @@ def satisfiable(masks) -> bool:
             neg &= ~true
             literals = pos | neg
             if not literals:
-                return False
+                return
             if literals & (literals - 1):
                 open_clauses.append((pos, neg))
             elif pos:
@@ -199,10 +218,19 @@ def satisfiable(masks) -> bool:
         if not propagated:
             break
     if not masks:
-        return True
+        yield true, false
+        return
     pos, neg = masks[0]
     literal = (pos | neg) & -(pos | neg)
-    return satisfiable(masks + [(literal, 0)]) or satisfiable(masks + [(0, literal)])
+    for branch in ((literal, 0), (0, literal)):
+        for t, f in solutions(masks + [branch]):
+            yield true | t, false | f
+
+
+def satisfiable(masks) -> bool:
+    """Whether one assignment satisfies every (pos_mask, neg_mask) clause:
+    whether `solutions` yields a cube."""
+    return next(solutions(masks), None) is not None
 
 
 def empty_theory(predicates=frozenset()) -> Theory:
@@ -211,48 +239,16 @@ def empty_theory(predicates=frozenset()) -> Theory:
 
 @lru_cache(maxsize=65536)
 def _models(theory: Theory) -> tuple[State, ...]:
-    """All satisfying assignments over the theory's predicate set, found by
-    unit propagation followed by enumeration of the free predicates."""
-    assignment: dict[int, bool] = {}
-    remaining = list(theory.clauses)
-    while True:
-        progress = False
-        next_remaining = []
-        for c in remaining:
-            open_lits = []
-            satisfied = False
-            for p, pol in c.literals:
-                if p in assignment:
-                    if assignment[p] == pol:
-                        satisfied = True
-                        break
-                else:
-                    open_lits.append((p, pol))
-            if satisfied:
-                progress = True
-                continue
-            if not open_lits:
-                return ()
-            if len(open_lits) == 1:
-                p, pol = open_lits[0]
-                assignment[p] = pol
-                progress = True
-            else:
-                next_remaining.append(c)
-        remaining = next_remaining
-        if not progress:
-            break
-    free = sorted(theory.predicates - assignment.keys())
-    base_true = frozenset(p for p, v in assignment.items() if v)
+    """All satisfying assignments over the theory's predicate set: the cubes
+    of `solutions`, each expanded over the predicates it leaves free."""
+    predicates = sorted(theory.predicates)
     states = []
-    for combo in range(1 << len(free)):
-        true = set(base_true)
-        for i, p in enumerate(free):
-            if combo >> i & 1:
-                true.add(p)
-        candidate = State(theory.predicates, frozenset(true))
-        if all(c.satisfied_by(candidate) for c in remaining):
-            states.append(candidate)
+    for true, false in solutions([c.masks for c in theory.clauses]):
+        base = [p for p in predicates if true >> p & 1]
+        free = [p for p in predicates if not (true | false) >> p & 1]
+        for combo in range(1 << len(free)):
+            chosen = [p for i, p in enumerate(free) if combo >> i & 1]
+            states.append(State(theory.predicates, frozenset(base + chosen)))
     states.sort(key=State.sort_key)
     return tuple(states)
 

@@ -156,7 +156,7 @@ def test_criterion_2_agree_to_disagree_fixture(tmp_path):
     a1, a2 = result.agents[1], result.agents[2]
     private = sorted((a1.predicates | a2.predicates) - (a1.predicates & a2.predicates))
     assert private, "fixture must leave at least one private predicate"
-    frame = build_shared_frame([a1, a2], s.run.depth)
+    frame = build_shared_frame([a1, a2])
     at = min(frame.ground, key=State.sort_key)
     outcome = common_knowledge(frame, Atom(private[0]), at)
     assert isinstance(outcome, Infeasible)

@@ -115,7 +115,7 @@ def agent_frames(draw):
         actual = draw(st.sampled_from(t.models()))
         observed = draw(st.lists(st.sampled_from(preds), unique=True))
         agents.append(agent_state(i, t, [(p, actual.value(p)) for p in observed]))
-    return build_shared_frame(agents, draw(st.integers(0, 1)))
+    return build_shared_frame(agents)
 
 
 def every_event(frame):

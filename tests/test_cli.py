@@ -65,6 +65,9 @@ def test_check_bad_frame_exit_2(tmp_path):
     ({**FRAME, "ground": "0011"}, "error: ground: must be a list of bitstrings"),
     ({**FRAME, "partitions": {"1": ["00", "01", "10", "11"]}},
      "error: partitions.1[0]: must be a list of bitstrings"),
+    ({**FRAME, "predicates": [-1, 0]}, "error: predicates[0]: must be an integer >= 0"),
+    ({**FRAME, "grond": ["00"]}, "error: grond: unknown key"),
+    ({**FRAME, "predicates": [0, 0]}, "error: predicates: repeats predicate 0"),
 ])
 def test_check_rejects_bad_frame_field(tmp_path, frame, message):
     path = tmp_path / "f.json"

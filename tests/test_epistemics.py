@@ -179,7 +179,7 @@ def test_information_partition_splits_on_observation():
         theory_of({0, 1}, clause((0, True), (1, True))),
         observations=[(0, True)],
     )
-    p = information_partition(a, 0)
+    p = information_partition(a)
     classes = sorted(sorted(s.bits() for s in cls) for cls in p.classes)
     assert classes == [["01"], ["10", "11"]]
 
@@ -188,20 +188,20 @@ def test_information_partition_no_observations_merges_model():
     # decided sentences hold on the whole model, so without observations the
     # model is one indistinguishability class
     a = agent(empty_theory({0}))
-    p = information_partition(a, 0)
+    p = information_partition(a)
     assert len(p.classes) == 1
 
 
 def test_information_partition_singleton_model():
     a = agent(theory_of({0}, unit(0, True)))
-    p = information_partition(a, 1)
+    p = information_partition(a)
     assert [len(c) for c in p.classes] == [1]
 
 
 def test_information_partition_empty_model():
     a = agent(theory_of({0}, unit(0, True), unit(0, False)))
     with pytest.raises(EmptyModel):
-        information_partition(a, 0)
+        information_partition(a)
 
 
 def test_information_partition_sound_random_theories():
@@ -225,7 +225,7 @@ def test_information_partition_sound_random_theories():
             p_ = rng.choice(preds)
             obs.append((p_, t.models()[0].value(p_)))
         ag = agent(t, observations=obs)
-        part = information_partition(ag, 1)
+        part = information_partition(ag)
         assert part.ground == contextual_possible(ag)
 
 
@@ -242,15 +242,13 @@ def reference_information_partition(agent_, depth):
     return partition_from_classes(model, groups.values())
 
 
-@pytest.mark.parametrize("theory, depth, message", [
-    (empty_theory({0, 1}), -1, "depth must be >= 0"),
-    (empty_theory(set()), 0, "predicate set must be nonempty"),
-])
-def test_information_partition_rejects_bad_input_as_reference(theory, depth, message):
-    a = agent(theory)
-    for partition in (information_partition, reference_information_partition):
-        with pytest.raises(ValueError, match=message):
-            partition(a, depth)
+def test_information_partition_rejects_empty_language_as_reference():
+    a = agent(empty_theory(set()))
+    for depth in range(3):
+        with pytest.raises(ValueError, match="predicate set must be nonempty"):
+            reference_information_partition(a, depth)
+    with pytest.raises(ValueError, match="predicate set must be nonempty"):
+        information_partition(a)
 
 
 @st.composite
@@ -276,7 +274,7 @@ def observed_agents(draw):
 @given(observed_agents())
 def test_information_partition_matches_kappa_reference(case):
     a, depth = case
-    assert information_partition(a, depth) == reference_information_partition(a, depth)
+    assert information_partition(a) == reference_information_partition(a, depth)
 
 
 # --- adjacent possible -------------------------------------------------------
@@ -304,7 +302,7 @@ def test_adjacent_possible_different_agent_rejected():
 
 def test_check_theory_inconsistent():
     rep = check_theory(theory_of({0}, unit(0, True), unit(0, False)))
-    assert not rep.consistent and not rep.coherent
+    assert not rep.consistent and rep.complete
 
 
 def test_check_theory_incomplete():
@@ -314,7 +312,7 @@ def test_check_theory_incomplete():
 
 def test_check_theory_complete():
     rep = check_theory(theory_of({0, 1}, unit(0, True), unit(1, True)))
-    assert rep.consistent and rep.coherent and rep.complete
+    assert rep.consistent and rep.complete
 
 
 def test_complete_consistent_decides_everything():

@@ -324,15 +324,9 @@ def test_s5_holds_on_partition_frames():
 def test_s5_requires_closed_mode():
     a = agent_state(1, Theory(frozenset({0, 1}), (unit(0, True),)))
     b = agent_state(2, Theory(frozenset({0, 2}), (unit(0, True),)))
-    frame = build_shared_frame([a, b], depth=1)
+    frame = build_shared_frame([a, b])
     with pytest.raises(NotClosedMode):
         validate_s5(frame, 1)
-
-
-def test_build_shared_frame_rejects_negative_depth():
-    a = agent_state(1, Theory(frozenset({0, 1}), (unit(0, True),)))
-    with pytest.raises(ValueError, match="depth must be >= 0"):
-        build_shared_frame([a], depth=-1)
 
 
 def test_s5_negative_control_non_transitive():

@@ -1,16 +1,22 @@
 """Repair search and bridging checked against a slow reference.
 
 `reference_propose_revisions` is the search as first written: it builds a
-`Theory` for every retraction set, asks `Theory.models` whether it is
-consistent and ranks by (score, age, canonical text).  The engine decides
+`Theory` for every retraction set, decides whether it is consistent by truth
+table and ranks by (score, age, canonical text).  The engine decides
 consistency on clause bitmasks instead, stops the deductive search early,
 scores candidates from their retraction sets and breaks ties on age alone;
 these tests hold it to the same ranked repairs.  `reference_revise` likewise
-builds every bridging candidate with `Theory.with_clause` and asks `models`,
-where the engine decides bridging clauses on masks.
+builds every bridging candidate with `Theory.with_clause` and decides it by
+truth table, where the engine decides bridging clauses on masks.
+
+`Theory.models` runs on the same kernel as the engine's consistency checks,
+so no reference here asks it: `consistent_by_sweep` tries every assignment
+with `Clause.satisfied_by`.
 """
 
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -25,9 +31,33 @@ from oee.revision import (
     symmetry_score,
 )
 from oee.rng import mix
-from oee.universe import Clause, Theory, clause, residues, satisfiable, unit
+from oee.universe import Clause, State, Theory, clause, residues, satisfiable, unit
 
 # --- reference ---------------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def cube(domain: frozenset) -> tuple[State, ...]:
+    """Every assignment over `domain`."""
+    preds = sorted(domain)
+    return tuple(
+        State(domain, frozenset(p for i, p in enumerate(preds) if code >> i & 1))
+        for code in range(1 << len(preds))
+    )
+
+
+@lru_cache(maxsize=1 << 14)
+def satisfying(c: Clause, domain: frozenset) -> int:
+    """The assignments over `domain` that satisfy `c`, as a bit set over
+    `cube(domain)`."""
+    return sum(1 << k for k, s in enumerate(cube(domain)) if c.satisfied_by(s))
+
+
+def consistent_by_sweep(theory: Theory) -> bool:
+    """Whether some assignment over the theory's predicates satisfies every
+    clause, each clause tried on every assignment."""
+    every = (1 << len(cube(theory.predicates))) - 1
+    return reduce(and_, (satisfying(c, theory.predicates) for c in theory.clauses), every) != 0
 
 
 def reference_symmetry_score(theory: Theory) -> int:
@@ -102,7 +132,7 @@ def reference_propose_revisions(agent, conflict, strategy: RevisionStrategy, bud
         for size in range(len(pool) + 1):
             for retracted in combinations(pool, size):
                 candidate = repair(theory, conflict, retracted)
-                if candidate.models():
+                if consistent_by_sweep(candidate):
                     candidates.append((retracted, candidate))
             if len(candidates) >= pool_cap:
                 break
@@ -132,7 +162,7 @@ def reference_bridging_candidates(theory: Theory, new_pred: int, old_preds):
                 if c in theory.clauses:
                     continue
                 candidate = theory.with_clause(c)
-                if candidate.models():
+                if consistent_by_sweep(candidate):
                     out.append(candidate)
     return out
 
@@ -146,7 +176,7 @@ def reference_revise(agent, observations, strategy: RevisionStrategy) -> Theory:
     units = tuple(unit(p, v) for p, v in sorted(obs))
     theory = Theory(old.predicates | {p for p, _ in obs},
                     old.clauses + tuple(u for u in units if u not in old.clauses))
-    if not theory.models():
+    if not consistent_by_sweep(theory):
         theory = reference_propose_revisions(agent, obs, strategy, 1 if deductive else 16)[0]
     if deductive:
         return theory
@@ -230,7 +260,7 @@ def test_kernel_verdict_matches_models(theory, data):
     falsified, residue = residues(theory.clauses, dict(conflict))
     verdict = falsified <= retracted and satisfiable(
         [r for i, r in residue.items() if i not in retracted])
-    assert verdict == bool(repair(theory, conflict, retracted).models())
+    assert verdict == consistent_by_sweep(repair(theory, conflict, retracted))
 
 
 @settings(max_examples=300, deadline=None)
@@ -238,7 +268,7 @@ def test_kernel_verdict_matches_models(theory, data):
 def test_revise_matches_reference(case, strategy):
     # observations may name predicates the theory lacks, so bridging runs
     theory, observations = case
-    assume(theory.models())
+    assume(consistent_by_sweep(theory))
     a = agent_state(1, theory)
     observations = consistent(observations)
     assert revise(a, observations, strategy).theory == reference_revise(a, observations, strategy)
@@ -247,7 +277,7 @@ def test_revise_matches_reference(case, strategy):
 @settings(max_examples=300, deadline=None)
 @given(theories(), st.data())
 def test_bridging_verdicts_match_models(theory, data):
-    assume(theory.models())
+    assume(consistent_by_sweep(theory))
     new_pred = data.draw(st.sampled_from(sorted(theory.predicates | {8})))
     old_preds = data.draw(st.sets(st.sampled_from(PREDICATES)))
     theory = Theory(theory.predicates | old_preds | {new_pred}, theory.clauses)
@@ -291,7 +321,7 @@ def test_candidate_sets_follow_their_definition():
     assert pool == list(range(8))
     consistent = [
         r for size in range(len(pool) + 1) for r in combinations(pool, size)
-        if repair(theory, conflict, r).models()
+        if consistent_by_sweep(repair(theory, conflict, r))
     ]
     budget = 8
 

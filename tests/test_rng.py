@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oee.rng import MASK64, SplitMix64, chance_at, fold, mix, stream
+from oee.rng import MASK64, SplitMix64, fold, mix, stream
 
 
 def test_mix_is_order_sensitive():
@@ -65,15 +65,3 @@ def test_chance_roughly_fair():
     rng = SplitMix64(123)
     hits = sum(rng.chance(Fraction(1, 4)) for _ in range(4000))
     assert 800 < hits < 1200
-
-
-def test_chance_at_stateless():
-    assert chance_at((1, 2, 3), Fraction(1, 2)) == chance_at((1, 2, 3), Fraction(1, 2))
-
-
-def test_shuffle_permutes():
-    rng = SplitMix64(77)
-    items = list(range(20))
-    rng.shuffle(items)
-    assert sorted(items) == list(range(20))
-    assert items != list(range(20))

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from oee.universe import (
     Clause,
+    satisfiable,
+    solutions,
     ConfigError,
     NicheError,
     NoveltyKind,
@@ -50,6 +52,24 @@ def test_clause_invariants():
     assert c.render() == "p0 | ~p1"
 
 
+def test_clause_masks():
+    c = clause((0, True), (5, False), (60, True))
+    assert c.masks == (1 | 1 << 60, 1 << 5)
+    assert unit(3, False).masks == (0, 1 << 3)
+    # computed, not passed: equality, hashing and repr ignore the masks
+    with pytest.raises(TypeError):
+        Clause(frozenset({(0, True)}), (1, 0))
+    with pytest.raises(AttributeError):
+        c.masks = (0, 0)
+    assert c == clause((60, True), (0, True), (5, False))
+    assert "masks" not in repr(c)
+
+
+def test_clause_rejects_negative_predicate():
+    with pytest.raises(ValueError, match="negative predicate index -1"):
+        clause((0, True), (-1, False))
+
+
 def test_theory_invariants():
     with pytest.raises(ValueError):
         Theory(frozenset({0}), (unit(1, True),))
@@ -77,6 +97,57 @@ def test_models_inconsistent():
 def test_models_disjunction():
     t = Theory(frozenset({0, 1}), (clause((0, True), (1, True)),))
     assert sorted(s.bits() for s in t.models()) == ["01", "10", "11"]
+
+
+def sweep_models(theory: Theory) -> list[State]:
+    """The models of `theory` by truth table: every assignment over its
+    predicates tried against every clause, in `State.sort_key` order."""
+    preds = sorted(theory.predicates)
+    states = (
+        State(theory.predicates, frozenset(p for i, p in enumerate(preds) if code >> i & 1))
+        for code in range(1 << len(preds))
+    )
+    models = [s for s in states if all(c.satisfied_by(s) for c in theory.clauses)]
+    return sorted(models, key=State.sort_key)
+
+
+@st.composite
+def sparse_theories(draw):
+    """Up to 8 predicates drawn from 0-60, clauses of 1-3 literals over them,
+    some predicates mentioned by no clause, and sometimes a contradictory
+    pair of units."""
+    preds = sorted(draw(st.sets(st.integers(0, 60), min_size=1, max_size=8)))
+    literal = st.tuples(st.sampled_from(preds), st.booleans())
+    clauses = [
+        Clause(frozenset(dict(lits).items()))
+        for lits in draw(st.lists(st.lists(literal, min_size=1, max_size=3), max_size=10))
+    ]
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(preds))
+        clauses += [unit(p, True), unit(p, False)]
+    return Theory(frozenset(preds), tuple(dict.fromkeys(clauses)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_theories())
+def test_models_match_truth_table(theory):
+    models = theory.models()
+    assert list(models) == sweep_models(theory)
+    assert satisfiable([c.masks for c in theory.clauses]) == bool(models)
+
+
+def test_solutions_yield_disjoint_cubes():
+    # p0 | p1 splits on p0: p0 true, then p0 false and p1 true by propagation
+    cubes = list(solutions([clause((0, True), (1, True)).masks, unit(2, False).masks]))
+    assert cubes == [(0b001, 0b100), (0b010, 0b101)]
+    assert list(solutions([unit(60, True).masks, unit(60, False).masks])) == []
+    assert list(solutions([])) == [(0, 0)]
+
+
+def test_models_expand_free_predicates_beyond_the_clauses():
+    # sort-key order compares the true sets: (7, 60) before (60,)
+    t = Theory(frozenset({7, 60}), (unit(60, True),))
+    assert [s.bits() for s in t.models()] == ["11", "01"]
 
 
 def test_constructor_contract():
