@@ -12,9 +12,8 @@ from fractions import Fraction
 
 import click
 
-from .formula import ParseError, parse, render
+from .formula import parse, render
 from .harness import (
-    LengthMismatch,
     SchemaError,
     bin_timeline,
     compare_strategies,
@@ -24,30 +23,11 @@ from .harness import (
     load_scenario,
     run,
 )
-from .multiagent import (
-    DepthMismatch,
-    FailsAt,
-    GroundMismatch,
-    Holds,
-    Infeasible,
-    NotClosedMode,
-    agreement_check,
-    common_knowledge,
-)
-from .universe import ConfigError, NicheError
+from .multiagent import FailsAt, Holds, Infeasible, agreement_check, common_knowledge
+from .universe import ConfigError
 
 _CONFIG_ERRORS = (SchemaError, ConfigError)
-_DOMAIN_ERRORS = (
-    ParseError,
-    GroundMismatch,
-    DepthMismatch,
-    NotClosedMode,
-    NicheError,
-    LengthMismatch,
-    OSError,
-    ValueError,
-    KeyError,
-)
+_DOMAIN_ERRORS = (ValueError, KeyError, OSError)
 
 
 def _guard(fn):

@@ -16,6 +16,7 @@ either {"formula": "p0"} or {"states": ["00", "11"]}.
 from __future__ import annotations
 
 import json
+import re
 
 from .epistemics import partition_from_classes
 from .harness import SchemaError, _integer, _known_keys
@@ -39,6 +40,9 @@ def _states(raw, predicates, path: str) -> frozenset[State]:
 
 
 _FRAME_KEYS = ("predicates", "partitions", "ground")
+_EVENT_KEYS = ("states", "formula")
+# an agent id as `str(int)` writes it, so no two keys name one agent
+_AGENT_KEY = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def load_frame(path) -> SharedFrame:
@@ -72,10 +76,9 @@ def load_frame(path) -> SharedFrame:
             raise SchemaError("predicates", str(exc))
     partitions = {}
     for key, classes in raw_partitions.items():
-        try:
-            agent = int(key)
-        except ValueError:
-            raise SchemaError(f"partitions.{key}", "agent id must be an integer")
+        if not _AGENT_KEY.fullmatch(key):
+            raise SchemaError(f"partitions.{key}", "agent id must be a decimal integer")
+        agent = int(key)
         if not isinstance(classes, list):
             raise SchemaError(f"partitions.{key}", "must be a list of state lists")
         built = [
@@ -96,17 +99,22 @@ def load_event(path, frame: SharedFrame) -> frozenset[State]:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError("$", f"invalid JSON: {exc}")
-    if isinstance(data, dict) and "states" in data:
+    if not isinstance(data, dict):
+        raise SchemaError("$", "event must be an object")
+    _known_keys(data, _EVENT_KEYS, "")
+    if len(data) != 1:
+        raise SchemaError("$", "event must carry exactly one of 'states' and 'formula'")
+    if "states" in data:
         return _states(data["states"], frame.shared_predicates, "states")
-    if isinstance(data, dict) and "formula" in data:
-        formula = parse(data["formula"])
-        missing = atoms(formula) - frame.shared_predicates
-        if missing:
-            names = ", ".join(f"p{p}" for p in sorted(missing))
-            known = ", ".join(f"p{p}" for p in sorted(frame.shared_predicates))
-            raise ValueError(
-                f"event formula names {names}, outside the frame's predicates {known}"
-            )
-        view = frame.masks()
-        return view.states_of(view.formula_mask(formula))
-    raise SchemaError("$", "event must carry 'states' or 'formula'")
+    if not isinstance(data["formula"], str):
+        raise SchemaError("formula", "must be a string")
+    formula = parse(data["formula"])
+    missing = atoms(formula) - frame.shared_predicates
+    if missing:
+        names = ", ".join(f"p{p}" for p in sorted(missing))
+        known = ", ".join(f"p{p}" for p in sorted(frame.shared_predicates))
+        raise ValueError(
+            f"event formula names {names}, outside the frame's predicates {known}"
+        )
+    view = frame.masks()
+    return view.states_of(view.formula_mask(formula))

@@ -63,6 +63,14 @@ class Scenario:
 
 _DEFAULT_WEIGHTS = (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
 _DEFAULT_VISIBILITY = Fraction(3, 5)
+# Each depth squares the sentence count and so doubles the digits of the coverage
+# fractions a trace writes (431 at depth 8, 6,909 at 12, over 2 predicates); over
+# 20,000 predicates |S_10| has 4,892 digits, past the 4,300 Python turns to text.
+MAX_DEPTH = 8
+# a one-tick run took 0.29 s at 20,000 initial predicates, 0.62 s at 40,000
+MAX_INITIAL_PREDICATES = 20_000
+# compare_strategies took 11.8 s on the 307,530 sentences of depth 2 over 10 predicates
+MAX_SENTENCES = 1_000_000
 
 
 def _fraction(value, path: str) -> Fraction:
@@ -111,6 +119,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         if any(w < 0 for w in weights) or sum(weights) != 1:
             raise SchemaError("weights", "must be nonnegative and sum to 1")
     initial = _integer(data.get("initial_predicates", 3), "initial_predicates", 1)
+    if initial > MAX_INITIAL_PREDICATES:
+        raise SchemaError("initial_predicates", f"exceeds the limit of {MAX_INITIAL_PREDICATES}")
     arity = _integer(data.get("clause_arity", 2), "clause_arity", 2)
     raw_agents = data.get("agents")
     if not isinstance(raw_agents, list) or not raw_agents:
@@ -155,6 +165,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     _known_keys(raw_run, _RUN_KEYS, "run.")
     ticks = _integer(raw_run.get("ticks", 10), "run.ticks", 1)
     depth = _integer(raw_run.get("depth", 1), "run.depth", 0)
+    if depth > MAX_DEPTH:
+        raise SchemaError("run.depth", f"exceeds the limit of {MAX_DEPTH}")
     replicates = _integer(raw_run.get("replicates", 1), "run.replicates", 1)
     return Scenario(
         seed=seed,
@@ -420,12 +432,12 @@ def bin_timeline(trace: Trace) -> list[tuple[int, int]]:
     return bins
 
 
-def compare_strategies(scenario: Scenario, replicate: int = 0, depth: int | None = None):
+def compare_strategies(scenario: Scenario, replicate: int = 0):
     """Run the scenario as configured and again with every agent deductive;
     report revealed-true sentences each configured agent decides True that the
-    deductive twin leaves Undecidable or NotInLanguage."""
-    if depth is None:
-        depth = scenario.run.depth
+    deductive twin leaves Undecidable or NotInLanguage.  More than
+    MAX_SENTENCES sentences raise ValueError before any is enumerated."""
+    depth = scenario.run.depth
     deductive = replace(scenario, agents=tuple(
         replace(s, strategy=RevisionStrategy(StrategyKind.DEDUCTIVE, s.strategy.seed))
         for s in scenario.agents
@@ -434,6 +446,13 @@ def compare_strategies(scenario: Scenario, replicate: int = 0, depth: int | None
     baseline = run_full(deductive, replicate)
     actual = configured.universe.actual
     revealed = configured.universe.revealed_predicates
+    # |S_d| by the recurrence `sentence_types` follows
+    count = n = len(revealed)
+    for _ in range(depth):
+        count = n + count + 3 * count * count
+        if count > MAX_SENTENCES:
+            raise ValueError(f"depth {depth} over {n} predicates enumerates more than "
+                             f"the limit of {MAX_SENTENCES:,} sentences")
     gained: dict[int, list[str]] = {}
     from .formula import render
 

@@ -13,7 +13,6 @@ from bisect import bisect
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations
 
 from .epistemics import AgentState
@@ -375,14 +374,10 @@ def revise(agent: AgentState, observations, strategy: RevisionStrategy) -> Agent
     return replace(agent, theory=theory, observations=obs, history=history)
 
 
-@lru_cache(maxsize=1 << 16)
-def _project(theory: Theory, shared: frozenset[int]):
-    return frozenset(s.restrict(shared) for s in theory.models())
-
-
 def classify_extension(old: Theory, new: Theory) -> ExtensionClass:
     shared = old.predicates & new.predicates
-    if not _project(new, shared) <= _project(old, shared):
+    # a model restricted to `shared` has the domain `shared`, so its true set names it
+    if not {s.true & shared for s in new.models()} <= {s.true & shared for s in old.models()}:
         return ExtensionClass.NOT_AN_EXTENSION
     if new.predicates != old.predicates:
         return ExtensionClass.ESSENTIAL

@@ -1,5 +1,5 @@
-"""Nature: lazily revealed predicates, grand-theory fragment, actual-state
-trajectory, and per-tick novelty events (variation / innovation / emergence).
+"""Nature: lazily revealed predicates, grand-theory fragment, the actual
+state, and per-tick novelty events (variation / innovation / emergence).
 
 The generator owns a single splitmix64 stream; observations are drawn from
 stateless hashes keyed by (agent seed, tick, predicate) so that agent
@@ -295,7 +295,6 @@ class UniverseGenerator:
         )
         self._actual = State(frozenset(range(initial_predicates)), true)
         self._clauses: list[Clause] = []
-        self.trajectory: list[State] = [self._actual]
 
     @property
     def actual(self) -> State:
@@ -330,7 +329,6 @@ class UniverseGenerator:
             event = self._innovation()
         else:
             event = self._emergence()
-        self.trajectory.append(self._actual)
         return event
 
     def _variation(self) -> NoveltyEvent:

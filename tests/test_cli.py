@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from oee import harness
 from oee.cli import main
 
 FRAME = {
@@ -68,6 +69,13 @@ def test_check_bad_frame_exit_2(tmp_path):
     ({**FRAME, "predicates": [-1, 0]}, "error: predicates[0]: must be an integer >= 0"),
     ({**FRAME, "grond": ["00"]}, "error: grond: unknown key"),
     ({**FRAME, "predicates": [0, 0]}, "error: predicates: repeats predicate 0"),
+    # "1" and "01" would both name agent 1, the second replacing the first
+    ({**FRAME, "partitions": {**FRAME["partitions"], "01": FRAME["partitions"]["2"]}},
+     "error: partitions.01: agent id must be a decimal integer"),
+    ({**FRAME, "partitions": {" 1": FRAME["partitions"]["1"]}},
+     "error: partitions. 1: agent id must be a decimal integer"),
+    ({**FRAME, "partitions": {"1_0": FRAME["partitions"]["1"]}},
+     "error: partitions.1_0: agent id must be a decimal integer"),
 ])
 def test_check_rejects_bad_frame_field(tmp_path, frame, message):
     path = tmp_path / "f.json"
@@ -95,6 +103,24 @@ def test_frame_over_cube_limit_exit_2(tmp_path, monkeypatch):
     result = invoke("check", "--frame", str(frame), "--formula", "p0", "--at", bits)
     assert result.exit_code == 2
     assert "limit of 16" in result.output or "limit of 16" in (result.stderr or "")
+
+
+@pytest.mark.parametrize("overrides, path, limit", [
+    ({"initial_predicates": harness.MAX_INITIAL_PREDICATES + 1},
+     "initial_predicates", harness.MAX_INITIAL_PREDICATES),
+    ({"run": {"ticks": 6, "depth": harness.MAX_DEPTH + 1}}, "run.depth", harness.MAX_DEPTH),
+])
+def test_run_rejects_oversized_scenario_before_any_tick(tmp_path, monkeypatch, overrides,
+                                                        path, limit):
+    def no_universe(*args):
+        raise AssertionError("a universe was built")
+
+    monkeypatch.setattr(harness, "UniverseGenerator", no_universe)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({**SCENARIO, **overrides}))
+    result = invoke("run", "--scenario", str(scenario), "--out", str(tmp_path / "t.jsonl"))
+    assert result.exit_code == 2
+    assert result.output.strip() == f"error: {path}: exceeds the limit of {limit}"
 
 
 def test_run_rejects_unknown_scenario_key(tmp_path):
@@ -213,6 +239,24 @@ def test_agree_command_rejects_formula_event(tmp_path, formula, message):
         assert result.output.strip() == message
 
 
+@pytest.mark.parametrize("event, message", [
+    ({"formula": 5}, "error: formula: must be a string"),
+    ({"formula": "p0", "weight": 1}, "error: weight: unknown key"),
+    ({"states": ["000"], "formula": "p0"},
+     "error: $: event must carry exactly one of 'states' and 'formula'"),
+    ({}, "error: $: event must carry exactly one of 'states' and 'formula'"),
+    (["000"], "error: $: event must be an object"),
+])
+def test_agree_command_rejects_bad_event_file(tmp_path, event, message):
+    frame = tmp_path / "f.json"
+    frame.write_text(json.dumps(SPLIT_FRAME))
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(event))
+    result = invoke("agree", "--frame", str(frame), "--event", str(path), "--at", "000")
+    assert result.exit_code == 2
+    assert result.output.strip() == message
+
+
 @pytest.mark.parametrize("formula, missing", [
     ("p7", "p7"),
     ("p1 & (p9 | ~p7)", "p7, p9"),
@@ -263,3 +307,66 @@ def test_compare_search_command(tmp_path):
     result = invoke("compare-search", "--scenario", str(path))
     assert result.exit_code == 0, result.output
     assert "agent 1:" in result.output
+
+
+# --- malformed input -----------------------------------------------------------
+
+REPLACEMENTS = (True, "x", 1.5, [], {}, None, -1)
+
+
+def _mutations(value, path=()):
+    """Every file made from `value` by deleting one object key or list item,
+    adding an unknown key to one object, or replacing one value (the whole
+    document included) with each of REPLACEMENTS."""
+    for r in REPLACEMENTS:
+        yield f"{list(path)} = {r!r}", r
+    if isinstance(value, dict):
+        yield f"{list(path)} + unknown key", {**value, "zz_unknown": 0}
+        for key, child in value.items():
+            yield f"{list(path + (key,))} deleted", {k: v for k, v in value.items() if k != key}
+            for label, mutated in _mutations(child, path + (key,)):
+                yield label, {**value, key: mutated}
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield f"{list(path + (i,))} deleted", value[:i] + value[i + 1:]
+            for label, mutated in _mutations(child, path + (i,)):
+                yield label, value[:i] + [mutated] + value[i + 1:]
+
+
+TRACE_HEADER = {"kind": "header", "agents": [1], "depth": 1, "ticks": 3}
+
+
+def _write(path, document):
+    """A JSON file, or a JSON-lines file with one line per item of a list."""
+    if path.suffix == ".jsonl" and isinstance(document, list):
+        path.write_text("".join(json.dumps(line) + "\n" for line in document))
+    else:
+        path.write_text(json.dumps(document))
+
+
+@pytest.mark.parametrize("valid, name, command", [
+    (SCENARIO, "s.json", ["run", "--scenario", "{}", "--out", "{dir}/t.jsonl"]),
+    (FRAME, "f.json", ["check", "--frame", "{}", "--formula", "p0", "--at", "00"]),
+    ({"states": ["00", "11"]}, "e.json",
+     ["agree", "--frame", "{dir}/frame.json", "--event", "{}", "--at", "11"]),
+    ({"formula": "p0 | p1"}, "e.json",
+     ["agree", "--frame", "{dir}/frame.json", "--event", "{}", "--at", "11"]),
+    ([TRACE_HEADER, EVENT], "t.jsonl", ["bins", "--trace", "{}"]),
+])
+def test_malformed_input_fails_with_one_error_line(tmp_path, valid, name, command):
+    """Each mutation of a valid input file either runs, or exits 1 or 2 with
+    one `error:` line; no other exception escapes."""
+    (tmp_path / "frame.json").write_text(json.dumps(FRAME))
+    path = tmp_path / name
+    args = [a.format(path, dir=tmp_path) for a in command]
+    faults = []
+    for label, document in _mutations(valid):
+        _write(path, document)
+        result = invoke(*args)
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        if not (
+            (result.exception is None or isinstance(result.exception, SystemExit))
+            and (result.exit_code, len(errors)) in ((0, 0), (1, 1), (2, 1))
+        ):
+            faults.append((label, result.exit_code, result.output[-200:], result.exception))
+    assert not faults

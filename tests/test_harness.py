@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oee import harness
 from oee.epistemics import AgentState, Truth3, agent_state, decide
 from oee.formula import atoms, enumerate_sentences, evaluate
 from oee.harness import (
@@ -83,6 +85,19 @@ def test_schema_rejects_booleans_and_unknown_keys(overrides, path):
     with pytest.raises(SchemaError) as exc:
         scenario_from_dict(minimal(**overrides))
     assert exc.value.path == path
+
+
+def test_scenario_limits_are_inclusive():
+    s = scenario_from_dict(minimal(initial_predicates=harness.MAX_INITIAL_PREDICATES,
+                                   run={"depth": harness.MAX_DEPTH}))
+    assert (s.initial_predicates, s.run.depth) == (harness.MAX_INITIAL_PREDICATES,
+                                                   harness.MAX_DEPTH)
+    for overrides, path in (({"initial_predicates": harness.MAX_INITIAL_PREDICATES + 1},
+                             "initial_predicates"),
+                            ({"run": {"depth": harness.MAX_DEPTH + 1}}, "run.depth")):
+        with pytest.raises(SchemaError, match="exceeds the limit") as exc:
+            scenario_from_dict(minimal(**overrides))
+        assert exc.value.path == path
 
 
 def test_load_scenario_file(tmp_path):
@@ -339,3 +354,28 @@ def test_compare_strategies_deterministic():
         "run": {"ticks": 12, "depth": 1},
     })
     assert compare_strategies(s, 0) == compare_strategies(s, 0)
+
+
+def test_compare_strategies_limit_counts_the_sentences(monkeypatch):
+    """The limit compares |S_d| from the recurrence, which equals the
+    enumeration's length, and fires before any sentence is enumerated."""
+    # variation only: the two initial predicates stay the revealed set
+    s = scenario_from_dict(minimal(initial_predicates=2, weights=[1, 0, 0],
+                                   run={"ticks": 2, "depth": 2}))
+    count = len(enumerate_sentences({0, 1}, 2))
+    monkeypatch.setattr(harness, "MAX_SENTENCES", count)
+    compare_strategies(s, 0)
+
+    def no_sentences(*args):
+        raise AssertionError("sentences were enumerated")
+
+    monkeypatch.setattr(harness, "enumerate_sentences", no_sentences)
+    monkeypatch.setattr(harness, "MAX_SENTENCES", count - 1)
+    with pytest.raises(ValueError, match=f"limit of {count - 1:,} sentences"):
+        compare_strategies(s, 0)
+    monkeypatch.undo()
+    monkeypatch.setattr(harness, "enumerate_sentences", no_sentences)
+    # |S_3| over 2 predicates is 1,854,120
+    deeper = replace(s, run=replace(s.run, depth=3))
+    with pytest.raises(ValueError, match="depth 3 over 2 predicates .* limit of 1,000,000"):
+        compare_strategies(deeper, 0)
