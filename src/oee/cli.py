@@ -27,7 +27,7 @@ from .multiagent import FailsAt, Holds, Infeasible, agreement_check, common_know
 from .universe import ConfigError
 
 _CONFIG_ERRORS = (SchemaError, ConfigError)
-_DOMAIN_ERRORS = (ValueError, KeyError, OSError)
+_DOMAIN_ERRORS = (ValueError, OSError)
 
 
 def _guard(fn):

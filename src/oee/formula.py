@@ -22,7 +22,6 @@ Precedence: ~ binds tightest, then &, then |, then -> (right-associative).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class Formula:
@@ -306,30 +305,9 @@ def parse(text: str) -> Formula:
     return f
 
 
-@lru_cache(maxsize=256)
-def _enumerate_cached(predicates: frozenset[int], max_depth: int) -> tuple[Formula, ...]:
-    current: list[Formula] = [Atom(p) for p in sorted(predicates)]
-    seen: set[Formula] = set(current)
-    for _ in range(max_depth):
-        fresh = []
-        for f in current:
-            g = Not(f)
-            if g not in seen:
-                seen.add(g)
-                fresh.append(g)
-        for f in current:
-            for g in current:
-                for combo in (And(f, g), Or(f, g), Implies(f, g)):
-                    if combo not in seen:
-                        seen.add(combo)
-                        fresh.append(combo)
-        current = current + fresh
-    decorated = sorted((depth(f), len(r), r, f) for f in seen for r in (render(f),))
-    return tuple(item[3] for item in decorated)
-
-
 def enumerate_sentences(predicates, max_depth: int) -> list[Formula]:
-    """All propositional formulas over `predicates` with nesting depth <= max_depth.
+    """All propositional formulas over `predicates` with nesting depth <= max_depth,
+    built by the recurrence S_d = S_0 + Not(S_{d-1}) + {And, Or, Implies}(S_{d-1}^2).
 
     Deterministic order: (depth, rendered length, rendered text).  The list for
     depth d is a prefix of the list for depth d+1.
@@ -339,4 +317,11 @@ def enumerate_sentences(predicates, max_depth: int) -> list[Formula]:
         raise ValueError("predicate set must be nonempty")
     if max_depth < 0:
         raise ValueError("depth must be >= 0")
-    return list(_enumerate_cached(preds, max_depth))
+    level = base = [Atom(p) for p in sorted(preds)]
+    for _ in range(max_depth):
+        level = base + [Not(f) for f in level] + [
+            op(f, g) for f in level for g in level for op in (And, Or, Implies)
+        ]
+    # the parts are disjoint and rendered texts distinct: no formula is hashed or compared
+    decorated = sorted((depth(f), len(r), r, f) for f in level for r in (render(f),))
+    return [item[3] for item in decorated]

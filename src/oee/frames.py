@@ -15,11 +15,11 @@ either {"formula": "p0"} or {"states": ["00", "11"]}.
 
 from __future__ import annotations
 
-import json
 import re
+from pathlib import Path
 
 from .epistemics import partition_from_classes
-from .harness import SchemaError, _integer, _known_keys
+from .harness import SchemaError, _integer, _known_keys, parse_json
 from .multiagent import SharedFrame, frame_from_partitions, full_cube
 from .universe import State
 
@@ -46,11 +46,7 @@ _AGENT_KEY = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def load_frame(path) -> SharedFrame:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"invalid JSON: {exc}")
+    data = parse_json(Path(path).read_text())
     if not isinstance(data, dict):
         raise SchemaError("$", "frame must be an object")
     _known_keys(data, _FRAME_KEYS, "")
@@ -94,11 +90,7 @@ def load_frame(path) -> SharedFrame:
 def load_event(path, frame: SharedFrame) -> frozenset[State]:
     from .formula import atoms, parse
 
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"invalid JSON: {exc}")
+    data = parse_json(Path(path).read_text())
     if not isinstance(data, dict):
         raise SchemaError("$", "event must be an object")
     _known_keys(data, _EVENT_KEYS, "")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .epistemics import AgentState, Truth3, adjacent_possible, agent_state, decide, \
     truth_of_mask
-from .formula import enumerate_sentences, evaluate
+from .formula import enumerate_sentences, evaluate, render
 from .multiagent import _jaccard
 from .revision import RevisionStrategy, StrategyKind, classify_extension, revise
 from .rng import mix
@@ -178,13 +178,25 @@ def scenario_from_dict(data: dict) -> Scenario:
     )
 
 
+def parse_json(text: str, path: str = "$"):
+    """The JSON document `text`; invalid JSON, or an object that repeats a
+    key (which `json` would drop without a word), is a SchemaError at `path`."""
+    def unique(pairs):
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise SchemaError(path, f"repeats the key {key!r}")
+            data[key] = value
+        return data
+
+    try:
+        return json.loads(text, object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(path, f"invalid JSON: {exc}")
+
+
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"invalid JSON: {exc}")
-    return scenario_from_dict(data)
+    return scenario_from_dict(parse_json(Path(path).read_text()))
 
 
 # --- traces ------------------------------------------------------------------
@@ -233,9 +245,9 @@ def sentence_types(agent: AgentState, revealed: frozenset[int], actual: State, d
     (bitmask of the models where the sentence holds, its value at `actual`),
     or None for every sentence with an atom outside the agent's language.
     The counts follow the enumeration, S_d = S_0 + Not(S_{d-1}) + {And, Or,
-    Implies}(S_{d-1}^2), whose parts are disjoint because it dedupes only
-    structurally equal formulas; a compound's type is its operator applied
-    to its operands' masks and values."""
+    Implies}(S_{d-1}^2), whose parts are disjoint by construction; a
+    compound's type is its operator applied to its operands' masks and
+    values."""
     if not revealed or depth < 0:
         raise ValueError("coverage needs a nonempty revealed set and a depth >= 0")
     models = agent.theory.models()
@@ -453,22 +465,15 @@ def compare_strategies(scenario: Scenario, replicate: int = 0):
         if count > MAX_SENTENCES:
             raise ValueError(f"depth {depth} over {n} predicates enumerates more than "
                              f"the limit of {MAX_SENTENCES:,} sentences")
+    true = [f for f in enumerate_sentences(revealed, depth) if evaluate(f, actual.value)]
     gained: dict[int, list[str]] = {}
-    from .formula import render
-
     for spec in scenario.agents:
         a = configured.agents[spec.id]
         b = baseline.agents[spec.id]
-        found = []
-        for f in enumerate_sentences(revealed, depth):
-            if not evaluate(f, actual.value):
-                continue
-            if decide(a, f) is Truth3.TRUE and decide(b, f) in (
-                Truth3.UNDECIDABLE,
-                Truth3.NOT_IN_LANGUAGE,
-            ):
-                found.append(render(f))
-        gained[spec.id] = found
+        gained[spec.id] = [
+            render(f) for f in true if decide(a, f) is Truth3.TRUE
+            and decide(b, f) in (Truth3.UNDECIDABLE, Truth3.NOT_IN_LANGUAGE)
+        ]
     return gained
 
 
@@ -553,10 +558,7 @@ def ingest_trace(path) -> Trace:
             line = line.strip()
             if not line:
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"line {n}", f"invalid JSON: {exc}")
+            record = parse_json(line, f"line {n}")
             if not isinstance(record, dict):
                 raise SchemaError(f"line {n}", "must be an object")
             if record.get("kind") == "header":

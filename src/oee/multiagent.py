@@ -56,6 +56,20 @@ def knowledge_event(p: Partition, event) -> frozenset:
     return frozenset(w for cls in p.classes if cls <= event for w in cls)
 
 
+def _merged(classes) -> list[set]:
+    """The connected components of the classes' overlap graph: each class
+    fuses with every component built so far that it touches."""
+    merged: list[set] = []
+    for cls in classes:
+        touching = [m for m in merged if m & cls]
+        fused = set(cls)
+        for m in touching:
+            fused |= m
+            merged.remove(m)
+        merged.append(fused)
+    return merged
+
+
 def meet(partitions) -> Partition:
     """Finest common coarsening: connected components of the class-overlap
     graph across all partitions."""
@@ -65,23 +79,7 @@ def meet(partitions) -> Partition:
     ground = partitions[0].ground
     if any(p.ground != ground for p in partitions):
         raise GroundMismatch("all partitions must share one ground set")
-    all_classes = [cls for p in partitions for cls in p.classes]
-    merged = []
-    remaining = set(ground)
-    while remaining:
-        seed = next(iter(remaining))
-        component = {seed}
-        frontier = {seed}
-        while frontier:
-            grown = set()
-            for cls in all_classes:
-                if cls & frontier and not cls <= component:
-                    grown |= cls - component
-            component |= grown
-            frontier = grown
-        merged.append(frozenset(component))
-        remaining -= component
-    return partition_from_classes(ground, merged)
+    return partition_from_classes(ground, _merged(c for p in partitions for c in p.classes))
 
 
 class FrameMasks:
@@ -191,17 +189,8 @@ def _coarsen_onto(ground: frozenset[State], projected_classes) -> Partition:
     """Merge overlapping projected classes into a partition of the ground;
     states hit by no class form one residual class."""
     classes = [frozenset(c) & ground for c in projected_classes]
-    classes = [c for c in classes if c]
-    merged: list[set] = []
-    for cls in classes:
-        touching = [m for m in merged if m & cls]
-        fused = set(cls)
-        for m in touching:
-            fused |= m
-            merged.remove(m)
-        merged.append(fused)
-    covered = set().union(*merged) if merged else set()
-    residual = set(ground) - covered
+    merged = _merged(c for c in classes if c)
+    residual = set(ground).difference(*merged)
     if residual:
         merged.append(residual)
     return partition_from_classes(ground, merged)

@@ -352,6 +352,8 @@ def _write(path, document):
     ({"formula": "p0 | p1"}, "e.json",
      ["agree", "--frame", "{dir}/frame.json", "--event", "{}", "--at", "11"]),
     ([TRACE_HEADER, EVENT], "t.jsonl", ["bins", "--trace", "{}"]),
+    (SCENARIO, "s.json", ["ergodic", "--scenario", "{}", "--out", "{dir}/r.csv"]),
+    (SCENARIO, "s.json", ["compare-search", "--scenario", "{}"]),
 ])
 def test_malformed_input_fails_with_one_error_line(tmp_path, valid, name, command):
     """Each mutation of a valid input file either runs, or exits 1 or 2 with
@@ -370,3 +372,27 @@ def test_malformed_input_fails_with_one_error_line(tmp_path, valid, name, comman
         ):
             faults.append((label, result.exit_code, result.output[-200:], result.exception))
     assert not faults
+
+
+@pytest.mark.parametrize("name, text, command, message", [
+    ("s.json", '{"seed": 7, "seed": 8, "run": {"ticks": 6, "depth": 1, "replicates": 1}}',
+     ["run", "--scenario", "{}", "--out", "{dir}/t.jsonl"], "error: $: repeats the key 'seed'"),
+    ("f.json", '{"predicates": [0, 1], "partitions": {"1": [["00", "01"], ["10", "11"]], '
+     '"1": [["00", "10"], ["01", "11"]]}}',
+     ["check", "--frame", "{}", "--formula", "p0", "--at", "00"], "error: $: repeats the key '1'"),
+    ("e.json", '{"formula": "p0", "formula": "p1"}',
+     ["agree", "--frame", "{dir}/frame.json", "--event", "{}", "--at", "11"],
+     "error: $: repeats the key 'formula'"),
+    ("t.jsonl", json.dumps(TRACE_HEADER) + '\n{"tick": 2, "tick": 3, "seq": 0, "kind": "revision", '
+     '"agent": 1, "payload": {}}\n',
+     ["bins", "--trace", "{}"], "error: line 2: repeats the key 'tick'"),
+], ids=["scenario", "frame", "event", "trace-line"])
+def test_repeated_json_key_exit_2(tmp_path, name, text, command, message):
+    """`json` keeps the last of two equal keys; each loader names the repeat.
+    The files are raw text, because `json.dumps` cannot repeat a key."""
+    (tmp_path / "frame.json").write_text(json.dumps(FRAME))
+    path = tmp_path / name
+    path.write_text(text)
+    result = invoke(*[a.format(path, dir=tmp_path) for a in command])
+    assert result.exit_code == 2
+    assert result.output.strip() == message

@@ -136,3 +136,50 @@ def test_enumerate_validates_inputs():
         enumerate_sentences(set(), 1)
     with pytest.raises(ValueError):
         enumerate_sentences({0}, -1)
+
+
+def reference_sentences(predicates, max_depth):
+    """Slow reference: grow candidate trees level by level and keep each
+    structurally new one, deduplicated through a set of formulas."""
+    current = [Atom(p) for p in sorted(predicates)]
+    seen = set(current)
+    for _ in range(max_depth):
+        fresh = []
+        for f in current:
+            if Not(f) not in seen:
+                seen.add(Not(f))
+                fresh.append(Not(f))
+        for f in current:
+            for g in current:
+                for combo in (And(f, g), Or(f, g), Implies(f, g)):
+                    if combo not in seen:
+                        seen.add(combo)
+                        fresh.append(combo)
+        current = current + fresh
+    return sorted(seen, key=lambda f: (depth(f), len(render(f)), render(f)))
+
+
+# one-, two- and three-digit indices, so that text order differs from numeric order
+_indices = st.sets(st.sampled_from([0, 1, 2, 9, 10, 11, 99, 100, 101]), min_size=1, max_size=3)
+
+
+@given(_indices, st.integers(0, 2))
+def test_enumerate_matches_reference(predicates, max_depth):
+    assert enumerate_sentences(predicates, max_depth) == reference_sentences(predicates, max_depth)
+
+
+def test_enumerate_length_follows_the_recurrence():
+    for n in range(1, 5):
+        count = n
+        for d in range(3):
+            assert len(enumerate_sentences(range(n), d)) == count
+            count = n + count + 3 * count * count
+
+
+def test_enumerate_hashes_no_formula(monkeypatch):
+    def no_hash(f):
+        raise AssertionError(f"hashed {render(f)}")
+
+    for cls in (Atom, Not, And, Or, Implies):
+        monkeypatch.setattr(cls, "__hash__", no_hash)
+    assert len(enumerate_sentences({3, 30, 300}, 2)) == 3 + 33 + 3 * 33 * 33

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oee.epistemics import agent_state, partition_from_classes
 from oee.formula import parse
@@ -14,6 +15,7 @@ from oee.multiagent import (
     Holds,
     Infeasible,
     NotClosedMode,
+    _coarsen_onto,
     agreement_check,
     build_hierarchy,
     build_shared_frame,
@@ -136,6 +138,29 @@ def test_meet_matches_union_find_oracle():
         a = parts[rng.randrange(len(parts))]
         b = parts[rng.randrange(len(parts))]
         assert meet([a, b]) == meet_oracle([a, b])
+
+
+def coarsen_oracle(ground, classes):
+    """Union-find reference for `_coarsen_onto`: the overlap components of
+    the classes cut to the ground, plus one class of the uncovered states."""
+    uf = UnionFind(ground)
+    covered = set()
+    for cls in classes:
+        members = sorted(set(cls) & ground)
+        covered.update(members)
+        for other in members[1:]:
+            uf.union(members[0], other)
+    groups = {}
+    for x in covered:
+        groups.setdefault(uf.find(x), set()).add(x)
+    residual = ground - covered
+    return partition_from_classes(ground, [*groups.values(), *([residual] if residual else [])])
+
+
+@given(st.lists(st.sets(st.integers(0, 9), max_size=3), max_size=6))
+def test_coarsen_onto_matches_union_find_oracle(classes):
+    ground = frozenset(range(8))
+    assert _coarsen_onto(ground, classes) == coarsen_oracle(ground, classes)
 
 
 def test_meet_laws():
