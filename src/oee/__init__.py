@@ -5,13 +5,11 @@ __version__ = "0.1.0"
 from .formula import Atom, And, Or, Not, Implies, Know, Common, parse, render, \
     enumerate_sentences
 from .universe import State, Clause, Theory, UniverseGenerator
-from .epistemics import Truth3, AgentState, Partition, decide, knowledge_list, \
-    contextual_possible, local_knowledge, information_partition, adjacent_possible, \
-    check_theory, closure_check
+from .epistemics import Truth3, AgentState, Partition, decide, contextual_possible, \
+    local_knowledge, information_partition, adjacent_possible
 from .revision import RevisionStrategy, StrategyKind, ExtensionClass, revise, \
     classify_extension, propose_revisions
 from .multiagent import SharedFrame, knowledge_event, meet, common_knowledge, \
-    build_hierarchy, hierarchies_consistent, posterior, agreement_check, \
-    disjointness, validate_s5
+    posterior, agreement_check, validate_s5
 from .harness import Scenario, load_scenario, run, ergodicity_report, \
     bin_timeline, export

@@ -1,6 +1,5 @@
-"""Agent-local calculus: the three-valued-plus decision procedure, knowledge
-lists, contextual and adjacent possibles, local knowledge, information
-partitions, and theory property checks.
+"""Agent-local calculus: the three-valued-plus decision procedure, contextual
+and adjacent possibles, local knowledge, and information partitions.
 
 Entailment is semantic: a sentence is decided True when it holds in every
 model of the agent's theory, False when it holds in none.  This is exact at
@@ -79,9 +78,6 @@ class Partition:
                 return cls
         raise KeyError(element)
 
-    def refines(self, other: "Partition") -> bool:
-        return all(any(cls <= o for o in other.classes) for cls in self.classes)
-
 
 def partition_from_classes(ground, classes) -> Partition:
     canonical = tuple(sorted((frozenset(c) for c in classes), key=_class_key))
@@ -114,20 +110,6 @@ def decide(agent: AgentState, f: Formula) -> Truth3:
     models = agent.theory.models()
     full = (1 << len(models)) - 1
     return truth_of_mask(event_mask(f, models, full, {}), full)
-
-
-def knowledge_list(agent: AgentState, depth: int) -> list[tuple[Formula, bool]]:
-    """Every enumerated sentence the agent decides, paired with its value."""
-    if not agent.predicates:
-        return []
-    out = []
-    for f in enumerate_sentences(agent.predicates, depth):
-        verdict = decide(agent, f)
-        if verdict is Truth3.TRUE:
-            out.append((f, True))
-        elif verdict is Truth3.FALSE:
-            out.append((f, False))
-    return out
 
 
 def contextual_possible(agent: AgentState) -> frozenset[State]:
@@ -173,32 +155,3 @@ def adjacent_possible(before: AgentState, after: AgentState) -> frozenset[State]
     if before.id != after.id:
         raise ValueError("adjacent_possible compares one agent across epochs")
     return contextual_possible(after) - contextual_possible(before)
-
-
-@dataclass(frozen=True, slots=True)
-class TheoryReport:
-    consistent: bool
-    complete: bool
-
-
-def check_theory(t: Theory) -> TheoryReport:
-    models = t.models()
-    consistent = bool(models)
-    if not consistent:
-        # vacuous entailment decides everything both ways
-        return TheoryReport(consistent=False, complete=True)
-    complete = True
-    for p in sorted(t.predicates):
-        values = {s.value(p) for s in models}
-        if len(values) != 1:
-            complete = False
-            break
-    return TheoryReport(consistent=True, complete=complete)
-
-
-def closure_check(sentences, agent_id: int) -> bool:
-    """True iff every non-Know member also appears Know-wrapped for the agent."""
-    members = set(sentences)
-    return all(
-        Know(agent_id, f) in members for f in members if not isinstance(f, Know)
-    )

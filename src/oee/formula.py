@@ -22,6 +22,7 @@ Precedence: ~ binds tightest, then &, then |, then -> (right-associative).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 
 
 class Formula:
@@ -226,10 +227,18 @@ def _tokenize(text: str):
     return tokens
 
 
+# Bounds the parser's recursion (a level per "(", "~", "K" or "C", up to 5 frames
+# each) and the depth of the tree every formula function recurses over.
+MAX_FORMULA_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule returns (formula, tree depth)."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -245,62 +254,64 @@ class _Parser:
     def _describe(tok) -> str:
         return "end of input" if tok[0] == "end" else repr(tok[0])
 
-    def formula(self) -> Formula:
-        return self.implies()
+    def bounded(self, d: int) -> int:
+        if d > MAX_FORMULA_DEPTH:
+            raise ParseError(self.peek()[2], [f"nesting at most {MAX_FORMULA_DEPTH} deep"],
+                             "a deeper formula")
+        return d
 
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "->":
-            self.take("->")
-            return Implies(left, self.implies())
-        return left
+    def node(self, make, *parts):
+        return make(*(f for f, _ in parts)), self.bounded(1 + max(d for _, d in parts))
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek()[0] == "|":
-            self.take("|")
-            f = Or(f, self.conjunction())
-        return f
+    # the binary operators, loosest first; "->" folds to the right, the others left
+    _LEVELS = (("->", Implies), ("|", Or), ("&", And))
 
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.peek()[0] == "&":
-            self.take("&")
-            f = And(f, self.unary())
-        return f
+    def binary(self, level: int = 0):
+        """The operands of one precedence level, parsed by a loop, so that a long
+        chain deepens the tree, not the parser's recursion."""
+        if level == len(self._LEVELS):
+            return self.unary()
+        kind, make = self._LEVELS[level]
+        parts = [self.binary(level + 1)]
+        while self.peek()[0] == kind:
+            self.take(kind)
+            parts.append(self.binary(level + 1))
+        if kind == "->":
+            return reduce(lambda right, left: self.node(make, left, right), reversed(parts))
+        return reduce(lambda left, right: self.node(make, left, right), parts)
 
-    def unary(self) -> Formula:
+    def unary(self):
         kind, value, offset = self.peek()
-        if kind == "~":
-            self.take("~")
-            return Not(self.unary())
-        if kind == "know":
-            self.take("know")
-            return Know(value, self.unary())
-        if kind == "common":
-            self.take("common")
+        if kind == "atom":
+            self.take("atom")
+            return Atom(value), 0
+        if kind not in ("~", "know", "common", "("):
+            raise ParseError(offset, ["~", "K<id>", "C{..}", "(", "atom"], self._describe(self.peek()))
+        self.nesting = self.bounded(self.nesting + 1)
+        self.take(kind)
+        if kind == "(":
+            out = self.binary()
+            self.take(")")
+        elif kind == "~":
+            out = self.node(Not, self.unary())
+        elif kind == "know":
+            out = self.node(partial(Know, value), self.unary())
+        else:
             self.take("{")
             ids = [self.take("int")[1]]
             while self.peek()[0] == ",":
                 self.take(",")
                 ids.append(self.take("int")[1])
             self.take("}")
-            return Common(frozenset(ids), self.unary())
-        if kind == "(":
-            self.take("(")
-            f = self.formula()
-            self.take(")")
-            return f
-        if kind == "atom":
-            self.take("atom")
-            return Atom(value)
-        raise ParseError(offset, ["~", "K<id>", "C{..}", "(", "atom"], self._describe(self.peek()))
+            out = self.node(partial(Common, frozenset(ids)), self.unary())
+        self.nesting -= 1
+        return out
 
 
 def parse(text: str) -> Formula:
-    """Parse canonical or free-form formula text."""
+    """Parse canonical or free-form formula text; ParseError past MAX_FORMULA_DEPTH."""
     parser = _Parser(_tokenize(text))
-    f = parser.formula()
+    f, _ = parser.binary()
     parser.take("end")
     return f
 

@@ -20,7 +20,6 @@ from pathlib import Path
 from .epistemics import AgentState, Truth3, adjacent_possible, agent_state, decide, \
     truth_of_mask
 from .formula import enumerate_sentences, evaluate, render
-from .multiagent import _jaccard
 from .revision import RevisionStrategy, StrategyKind, classify_extension, revise
 from .rng import mix
 from .universe import NoveltyKind, State, UniverseGenerator, empty_theory
@@ -288,6 +287,12 @@ def coverage_fraction(agent: AgentState, revealed: frozenset[int], actual: State
 
 
 # --- run engine --------------------------------------------------------------
+
+
+def _jaccard(a: frozenset, b: frozenset) -> Fraction:
+    if not a and not b:
+        return Fraction(1)
+    return Fraction(len(a & b), len(a | b))
 
 
 def run_full(scenario: Scenario, replicate: int) -> RunResult:

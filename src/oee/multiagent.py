@@ -3,9 +3,9 @@
 Agents with different languages meet on the intersection of their predicate
 sets: each agent's information partition is projected onto the shared
 predicates and coarsened back into a partition of the full shared state cube.
-Common knowledge, hierarchies, posteriors, and the agreement experiment all
-run over that frame; `validate_s5` checks the modal axioms under partition
-semantics, with a relation-based debug evaluator as the negative control.
+Common knowledge, posteriors, and the agreement experiment all run over that
+frame; `validate_s5` checks the modal axioms under partition semantics, with a
+relation-based debug evaluator as the negative control.
 
 Agreement, common knowledge and S5 validation work on events as bitmasks over
 the ground, through one mask view per frame (`SharedFrame.masks`), built on
@@ -29,18 +29,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .epistemics import AgentState, Partition, information_partition, \
-    knowledge_list, partition_from_classes
+from .epistemics import AgentState, Partition, information_partition, partition_from_classes
 from .formula import Formula, Implies, Know, atoms, event_mask, is_propositional, \
     render
 from .universe import State
 
 
 class GroundMismatch(ValueError):
-    pass
-
-
-class DepthMismatch(ValueError):
     pass
 
 
@@ -57,17 +52,24 @@ def knowledge_event(p: Partition, event) -> frozenset:
 
 
 def _merged(classes) -> list[set]:
-    """The connected components of the classes' overlap graph: each class
-    fuses with every component built so far that it touches."""
-    merged: list[set] = []
+    """The connected components of the classes' overlap graph, by one
+    union-find over their elements, numbered as first seen."""
+    index: dict = {}
+    parent: dict[int, int] = {}
+
+    def find(k: int) -> int:
+        while (up := parent.setdefault(k, k)) != k:
+            parent[k] = k = parent[up]
+        return k
+
     for cls in classes:
-        touching = [m for m in merged if m & cls]
-        fused = set(cls)
-        for m in touching:
-            fused |= m
-            merged.remove(m)
-        merged.append(fused)
-    return merged
+        roots = [find(index.setdefault(e, len(index))) for e in cls]
+        for k in roots:
+            parent[k] = roots[0]
+    components: dict[int, set] = {}
+    for e, k in index.items():
+        components.setdefault(find(k), set()).add(e)
+    return list(components.values())
 
 
 def meet(partitions) -> Partition:
@@ -264,48 +266,6 @@ def common_knowledge(frame: SharedFrame, event_formula: Formula, at: State):
     return FailsAt(view.states_of(outside))
 
 
-@dataclass(frozen=True, slots=True)
-class Hierarchy:
-    agent: int
-    predicates: frozenset[int]
-    levels: tuple[frozenset[State], ...]
-    depth: int
-
-
-def build_hierarchy(frame: SharedFrame, agent: int, at: State, depth: int) -> Hierarchy:
-    """Level 0 is the agent's information set at `at`; each next level adds
-    every information set (any agent's) meeting the current one."""
-    if at not in frame.ground:
-        raise GroundMismatch("state must lie in the frame ground")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    level = frame.partition_of(agent).class_of(at)
-    levels = [level]
-    for _ in range(depth):
-        grown = set(level)
-        for other in frame.agents:
-            for cls in frame.partition_of(other).classes:
-                if cls & level:
-                    grown |= cls
-        level = frozenset(grown)
-        levels.append(level)
-    return Hierarchy(agent, frame.shared_predicates, tuple(levels), depth)
-
-
-def hierarchies_consistent(h_i: Hierarchy, h_j: Hierarchy) -> bool:
-    """Levelwise equality of the two hierarchies' projections onto the shared
-    predicate set."""
-    if h_i.depth != h_j.depth:
-        raise DepthMismatch("hierarchies must share a depth")
-    shared = h_i.predicates & h_j.predicates
-    for a, b in zip(h_i.levels, h_j.levels):
-        proj_a = frozenset(s.restrict(shared) for s in a)
-        proj_b = frozenset(s.restrict(shared) for s in b)
-        if proj_a != proj_b:
-            return False
-    return True
-
-
 def posterior(p: Partition, event, at) -> Fraction:
     """Uniform-prior posterior of the event given the information class of
     `at` — exact rational."""
@@ -349,25 +309,6 @@ def agreement_check(frame: SharedFrame, event, at: State) -> AgreementReport:
     ck = not view.meet_at()[k] & ~profile
     agree = len(set(posteriors.values())) == 1
     return AgreementReport(posteriors, ck, agree)
-
-
-@dataclass(frozen=True, slots=True)
-class DisjointnessMetrics:
-    predicate_jaccard: Fraction
-    decided_sentence_jaccard: Fraction
-
-
-def _jaccard(a: frozenset, b: frozenset) -> Fraction:
-    if not a and not b:
-        return Fraction(1)
-    return Fraction(len(a & b), len(a | b))
-
-
-def disjointness(a: AgentState, b: AgentState, depth: int) -> DisjointnessMetrics:
-    pred_j = _jaccard(a.predicates, b.predicates)
-    decided_a = frozenset((render(f), v) for f, v in knowledge_list(a, depth))
-    decided_b = frozenset((render(f), v) for f, v in knowledge_list(b, depth))
-    return DisjointnessMetrics(pred_j, _jaccard(decided_a, decided_b))
 
 
 # --- S5 validation -----------------------------------------------------------

@@ -63,6 +63,11 @@ class State:
         return tuple(sorted(self.domain)), tuple(sorted(self.true))
 
 
+# a clause mask has a bit per index up to its largest (125 KB here); runs reveal
+# one predicate per emergence tick past at most 20,000 initial ones
+MAX_PREDICATE_INDEX = 1_000_000
+
+
 @dataclass(frozen=True, slots=True)
 class Clause:
     """Disjunction of literals (predicate, polarity).  `masks` is its integer
@@ -76,8 +81,8 @@ class Clause:
             raise ValueError("clause must be nonempty")
         pos = neg = 0
         for p, pol in self.literals:
-            if p < 0:
-                raise ValueError(f"clause mentions the negative predicate index {p}")
+            if not 0 <= p <= MAX_PREDICATE_INDEX:
+                raise ValueError(f"clause predicate index {p} lies outside 0..{MAX_PREDICATE_INDEX}")
             if (pos | neg) >> p & 1:
                 raise ValueError("clause may not mention a predicate with both polarities")
             if pol:

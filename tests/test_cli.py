@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from oee import harness
 from oee.cli import main
+from oee.formula import MAX_FORMULA_DEPTH
 
 FRAME = {
     "predicates": [0, 1],
@@ -311,7 +312,10 @@ def test_compare_search_command(tmp_path):
 
 # --- malformed input -----------------------------------------------------------
 
-REPLACEMENTS = (True, "x", 1.5, [], {}, None, -1)
+# formulas nested past MAX_FORMULA_DEPTH: in negations, in parentheses, and in
+# the tree of a conjunction chain
+DEEP_FORMULAS = ("~" * 1000 + "p0", "(" * 200 + "p0" + ")" * 200, "p0 & " * 3000 + "p0")
+REPLACEMENTS = (True, "x", 1.5, [], {}, None, -1) + DEEP_FORMULAS
 
 
 def _mutations(value, path=()):
@@ -372,6 +376,17 @@ def test_malformed_input_fails_with_one_error_line(tmp_path, valid, name, comman
         ):
             faults.append((label, result.exit_code, result.output[-200:], result.exception))
     assert not faults
+
+
+@pytest.mark.parametrize("formula", DEEP_FORMULAS, ids=["negations", "parentheses", "chain"])
+def test_formula_over_the_nesting_limit_exit_1(tmp_path, formula):
+    (tmp_path / "f.json").write_text(json.dumps(FRAME))
+    for args in (["parse", formula],
+                 ["check", "--frame", str(tmp_path / "f.json"), "--formula", formula, "--at", "00"]):
+        result = invoke(*args)
+        assert result.exit_code == 1
+        assert result.output.count("\n") == 1
+        assert f"expected nesting at most {MAX_FORMULA_DEPTH} deep" in result.output
 
 
 @pytest.mark.parametrize("name, text, command, message", [

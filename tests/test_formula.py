@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oee.formula import (
+    MAX_FORMULA_DEPTH,
     And,
     Atom,
     Common,
@@ -58,6 +59,21 @@ def test_parse_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.offset == 5
+
+
+def _nested(n):
+    """Formulas nested n deep: in negations, in parentheses, and in the
+    tree of a conjunction chain and of an implication chain."""
+    return ["~" * n + "p0", "(" * n + "p0" + ")" * n, "p0 & " * n + "p0", "p0 -> " * n + "p0"]
+
+
+def test_parse_bounds_nesting():
+    for text in _nested(MAX_FORMULA_DEPTH):
+        f = parse(text)
+        assert parse(render(f)) == f
+    for text in _nested(MAX_FORMULA_DEPTH + 1) + _nested(3000):
+        with pytest.raises(ParseError, match=f"nesting at most {MAX_FORMULA_DEPTH} deep"):
+            parse(text)
 
 
 def test_common_requires_agents():

@@ -8,19 +8,16 @@ from oee.epistemics import agent_state, partition_from_classes
 from oee.formula import parse
 from oee.multiagent import (
     MAX_CUBE_PREDICATES,
-    DepthMismatch,
     FailsAt,
     GroundMismatch,
-    Hierarchy,
     Holds,
     Infeasible,
     NotClosedMode,
     _coarsen_onto,
+    _merged,
     agreement_check,
-    build_hierarchy,
     build_shared_frame,
     common_knowledge,
-    disjointness,
     frame_from_partitions,
     full_cube,
     knowledge_event,
@@ -140,6 +137,25 @@ def test_meet_matches_union_find_oracle():
         assert meet([a, b]) == meet_oracle([a, b])
 
 
+def merged_reference(classes):
+    """The overlap components as first computed: each class fuses with every
+    component built so far that it touches (quadratic in the classes)."""
+    merged = []
+    for cls in classes:
+        touching = [m for m in merged if m & cls]
+        fused = set(cls)
+        for m in touching:
+            fused |= m
+            merged.remove(m)
+        merged.append(fused)
+    return merged
+
+
+@given(st.lists(st.sets(st.integers(0, 15), min_size=1, max_size=4), max_size=12))
+def test_merged_matches_the_fusing_loop(classes):
+    assert sorted(map(sorted, _merged(classes))) == sorted(map(sorted, merged_reference(classes)))
+
+
 def coarsen_oracle(ground, classes):
     """Union-find reference for `_coarsen_onto`: the overlap components of
     the classes cut to the ground, plus one class of the uncovered states."""
@@ -220,61 +236,6 @@ def test_common_knowledge_ground_mismatch():
         common_knowledge(frame, parse("p0"), outside)
 
 
-# --- hierarchies -------------------------------------------------------------
-
-def test_hierarchy_depth0_is_information_set():
-    frame = closed_frame()
-    at = next(iter(states_of(["11"])))
-    h = build_hierarchy(frame, 1, at, 0)
-    assert h.levels == (frame.partition_of(1).class_of(at),)
-
-
-def test_hierarchy_converges_to_meet_class():
-    frame = closed_frame()
-    at = next(iter(states_of(["11"])))
-    h = build_hierarchy(frame, 1, at, 6)
-    the_meet = meet(frame.projected_partitions.values())
-    assert h.levels[-1] == the_meet.class_of(at)
-    for a, b in zip(h.levels, h.levels[1:]):
-        assert a <= b
-
-
-def test_hierarchy_singleton_partitions():
-    ground = states_of(["00", "01", "10", "11"])
-    discrete = partition_from_classes(ground, [{s} for s in ground])
-    frame = frame_from_partitions({0, 1}, ground, {1: discrete, 2: discrete})
-    at = next(iter(states_of(["01"])))
-    h = build_hierarchy(frame, 1, at, 4)
-    assert all(level == frozenset({at}) for level in h.levels)
-
-
-def test_hierarchies_consistent_identical():
-    frame = closed_frame()
-    at = next(iter(states_of(["11"])))
-    h1 = build_hierarchy(frame, 1, at, 3)
-    h1b = build_hierarchy(frame, 1, at, 3)
-    assert frame.partition_of(1) is not None
-    from oee.multiagent import hierarchies_consistent
-
-    assert hierarchies_consistent(h1, h1b)
-    h2 = build_hierarchy(frame, 2, at, 3)
-    # level 0 differs (different information sets), projections equal nowhere
-    assert not hierarchies_consistent(h1, h2)
-    with pytest.raises(DepthMismatch):
-        hierarchies_consistent(h1, build_hierarchy(frame, 2, at, 2))
-
-
-def test_hierarchies_differing_languages():
-    from oee.multiagent import hierarchies_consistent
-
-    a_states = states_of(["10", "11"], predicates=(0, 1))
-    b_states = states_of(["10", "11"], predicates=(0, 2))
-    h_a = Hierarchy(1, frozenset({0, 1}), (frozenset(a_states),), 0)
-    h_b = Hierarchy(2, frozenset({0, 2}), (frozenset(b_states),), 0)
-    # projections onto the shared predicate {0} agree
-    assert hierarchies_consistent(h_a, h_b)
-
-
 # --- posteriors / agreement --------------------------------------------------
 
 def test_posterior_example():
@@ -324,18 +285,6 @@ def test_aumann_agreement_small_exhaustive():
         the_meet = meet([p1, p2])
         if the_meet.class_of(at) <= profile_event:
             assert post[1] == post[2]
-
-
-def test_disjointness_examples():
-    a = agent_state(1, Theory(frozenset({0, 1}), (unit(0, True), unit(1, True))))
-    b = agent_state(2, Theory(frozenset({0, 2}), (unit(0, True), unit(2, True))))
-    m = disjointness(a, b, 0)
-    assert m.predicate_jaccard == Fraction(1, 3)
-    same = disjointness(a, a, 1)
-    assert same.predicate_jaccard == 1 and same.decided_sentence_jaccard == 1
-    c = agent_state(3, Theory(frozenset({5}), (unit(5, False),)))
-    none = disjointness(a, c, 0)
-    assert none.predicate_jaccard == 0 and none.decided_sentence_jaccard == 0
 
 
 # --- S5 ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from oee.epistemics import agent_state, check_theory
+from oee.epistemics import agent_state
 from oee.revision import (
     ContradictoryObservations,
     ExtensionClass,
@@ -31,7 +31,7 @@ def test_case1_minimal_repair():
     out = revise(a, {(1, True)}, DEDUCTIVE)
     assert unit(1, False) not in out.theory.clauses
     assert unit(1, True) in out.theory.clauses
-    assert check_theory(out.theory).consistent
+    assert out.theory.models()
 
 
 def test_case2_language_extension():
@@ -61,7 +61,7 @@ def test_strategies_diverge_on_bridging():
     aes = revise(a, {(2, True)}, RevisionStrategy(StrategyKind.AESTHETIC, 7))
     # the aesthetic agent adopts a bridging clause the deductive one does not
     assert len(aes.theory.clauses) > len(ded.theory.clauses)
-    assert check_theory(aes.theory).consistent
+    assert aes.theory.models()
 
 
 def test_revise_always_consistent_random_inputs():
@@ -77,7 +77,7 @@ def test_revise_always_consistent_random_inputs():
                 if rng.next_u64() & 1:
                     obs.add((p, bool(rng.next_u64() & 1)))
             a = revise(a, obs, strategies[trial % len(strategies)])
-            assert check_theory(a.theory).consistent
+            assert a.theory.models()
 
 
 def test_revise_deterministic():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oee.universe import (
+    MAX_PREDICATE_INDEX,
     Clause,
     satisfiable,
     solutions,
@@ -66,8 +67,14 @@ def test_clause_masks():
 
 
 def test_clause_rejects_negative_predicate():
-    with pytest.raises(ValueError, match="negative predicate index -1"):
+    with pytest.raises(ValueError, match="predicate index -1 lies outside 0"):
         clause((0, True), (-1, False))
+
+
+def test_clause_rejects_predicate_past_the_limit():
+    assert unit(MAX_PREDICATE_INDEX, True).masks == (1 << MAX_PREDICATE_INDEX, 0)
+    with pytest.raises(ValueError, match=f"outside 0..{MAX_PREDICATE_INDEX}"):
+        unit(MAX_PREDICATE_INDEX + 1, False)
 
 
 def test_theory_invariants():
