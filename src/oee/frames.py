@@ -25,18 +25,22 @@ from .universe import State
 
 
 def state_from_bits(bits: str, predicates) -> State:
-    preds = sorted(predicates)
-    if len(bits) != len(preds) or any(b not in "01" for b in bits):
-        raise SchemaError("state", f"expected {len(preds)} bits, got {bits!r}")
-    return State(
-        frozenset(preds), frozenset(p for p, b in zip(preds, bits) if b == "1")
-    )
+    return _states([bits], predicates, "state")[bits]
 
 
-def _states(raw, predicates, path: str) -> frozenset[State]:
+def _states(raw, predicates, path: str, known=()) -> dict[str, State]:
+    """By bitstring, the states that a list of bitstrings over the sorted
+    predicates names, each built once, skipping the bitstrings in `known`."""
     if not isinstance(raw, list) or not all(isinstance(b, str) for b in raw):
         raise SchemaError(path, "must be a list of bitstrings")
-    return frozenset(state_from_bits(b, predicates) for b in raw)
+    preds = sorted(predicates)
+    domain = frozenset(preds)
+    states = {}
+    for bits in [b for b in dict.fromkeys(raw) if b not in known]:
+        if len(bits) != len(preds) or any(b not in "01" for b in bits):
+            raise SchemaError(path, f"expected {len(preds)} bits, got {bits!r}")
+        states[bits] = State(domain, frozenset(p for p, b in zip(preds, bits) if b == "1"))
+    return states
 
 
 _FRAME_KEYS = ("predicates", "partitions", "ground")
@@ -64,12 +68,13 @@ def load_frame(path) -> SharedFrame:
     if not isinstance(raw_partitions, dict) or not raw_partitions:
         raise SchemaError("partitions", "must map agent ids to class lists")
     if "ground" in data:
-        ground = _states(data["ground"], predicates, "ground")
+        by_bits = _states(data["ground"], predicates, "ground")
     else:
         try:
-            ground = full_cube(predicates)
+            by_bits = {s.bits(): s for s in full_cube(predicates)}
         except ValueError as exc:
             raise SchemaError("predicates", str(exc))
+    ground = frozenset(by_bits.values())
     partitions = {}
     for key, classes in raw_partitions.items():
         if not _AGENT_KEY.fullmatch(key):
@@ -77,9 +82,14 @@ def load_frame(path) -> SharedFrame:
         agent = int(key)
         if not isinstance(classes, list):
             raise SchemaError(f"partitions.{key}", "must be a list of state lists")
-        built = [
-            _states(cls, predicates, f"partitions.{key}[{n}]") for n, cls in enumerate(classes)
-        ]
+        built = []
+        for n, cls in enumerate(classes):
+            # a malformed entry fails at its class, one outside an explicit ground at its agent
+            outside = _states(cls, predicates, f"partitions.{key}[{n}]", by_bits)
+            if outside:
+                raise SchemaError(f"partitions.{key}", f"state {next(iter(outside))!r} "
+                                  "lies outside the ground")
+            built.append(frozenset([by_bits[b] for b in cls]))
         try:
             partitions[agent] = partition_from_classes(ground, built)
         except ValueError as exc:
@@ -97,7 +107,7 @@ def load_event(path, frame: SharedFrame) -> frozenset[State]:
     if len(data) != 1:
         raise SchemaError("$", "event must carry exactly one of 'states' and 'formula'")
     if "states" in data:
-        return _states(data["states"], frame.shared_predicates, "states")
+        return frozenset(_states(data["states"], frame.shared_predicates, "states").values())
     if not isinstance(data["formula"], str):
         raise SchemaError("formula", "must be a string")
     formula = parse(data["formula"])

@@ -139,7 +139,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         seen_ids.add(aid)
         niche = raw.get("niche", [])
         if not isinstance(niche, list) or not all(
-            isinstance(p, int) and not isinstance(p, bool) for p in niche
+            isinstance(p, int) and not isinstance(p, bool) and p >= 0 for p in niche
         ):
             raise SchemaError(f"{path}.niche", "must be a list of predicate indices")
         visibility = (
@@ -488,37 +488,19 @@ def compare_strategies(scenario: Scenario, replicate: int = 0):
 def export(obj, fmt: str, path) -> None:
     path = Path(path)
     if isinstance(obj, Trace):
-        if fmt == "jsonl":
-            with open(path, "w") as fh:
-                header = {
-                    "agents": list(obj.agents),
-                    "depth": obj.depth,
-                    "kind": "header",
-                    "ticks": obj.ticks,
-                }
-                fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-                for event in obj.events:
-                    fh.write(event.to_json() + "\n")
-            return
-        if fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(
-                    ["tick", "agent", "coverage", "disjointness", "adjacent", "extension"]
-                )
-                for e in obj.events:
-                    if e.kind != "metrics":
-                        continue
-                    writer.writerow([
-                        e.tick,
-                        e.agent,
-                        e.payload["coverage"],
-                        e.payload["disjointness"] or "",
-                        e.payload["adjacent"],
-                        e.payload["extension"] or "",
-                    ])
-            return
-        raise ValueError(f"unknown trace format {fmt!r}")
+        if fmt != "jsonl":
+            raise ValueError(f"unknown trace format {fmt!r}")
+        with open(path, "w") as fh:
+            header = {
+                "agents": list(obj.agents),
+                "depth": obj.depth,
+                "kind": "header",
+                "ticks": obj.ticks,
+            }
+            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+            for event in obj.events:
+                fh.write(event.to_json() + "\n")
+        return
     if isinstance(obj, ErgodicityReport):
         if fmt != "csv":
             raise ValueError("ergodicity reports export as csv")

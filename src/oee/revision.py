@@ -9,7 +9,6 @@ the language grows; the deductive strategy adopts none.
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -19,7 +18,7 @@ from .epistemics import AgentState
 from .rng import mix
 from .universe import (
     Theory,
-    canonical_text,
+    canonical_texts,
     clause,
     residues,
     satisfiable,
@@ -108,23 +107,31 @@ def _contradicted(literals):
     return None
 
 
-def _strategy_key(strategy: RevisionStrategy, tie, text, literals, theory):
+def _strategy_key(strategy: RevisionStrategy, predicates, clauses, dropped, tie):
     """Sort key of `strategy` over candidates: the strategy's score (lower
     ranks first), then `tie(c)`, which tells any two candidates apart.
 
-    Each strategy scores a candidate through the one view of it that it needs,
-    so a caller computes no other: random hashes `text(c)`, the canonical text
-    of the candidate theory; heuristic prefers fewer literals, `literals(c)`;
-    aesthetic prefers a higher symmetry score of `theory(c)`, the candidate
-    built.  Deductive ranks repairs only, with `tie(c)` the retraction age:
-    by the number of clauses retracted, then by age."""
+    A candidate `c` is the theory over `predicates` that keeps every clause
+    of `clauses` whose index is not in `dropped(c)`.  Each strategy derives
+    from that the one view of it that it needs: random hashes its canonical
+    text, and is the only strategy that builds texts; heuristic prefers fewer
+    literals; aesthetic prefers a higher symmetry score of the kept clause
+    set.  Deductive ranks repairs only, with `tie(c)` the retraction age: by
+    the number of clauses retracted, then by age."""
     kind = strategy.kind
     if kind is StrategyKind.RANDOM:
-        return lambda c: (mix(strategy.seed, int(text_digest(text(c)), 16)), tie(c))
+        text = canonical_texts(predicates, clauses)
+        return lambda c: (mix(strategy.seed, int(text_digest(text(dropped(c))), 16)), tie(c))
     if kind is StrategyKind.HEURISTIC:
-        return lambda c: (literals(c), tie(c))
+        sizes = [len(c.literals) for c in clauses]
+        total = sum(sizes)
+        return lambda c: (total - sum(sizes[i] for i in dropped(c)), tie(c))
     if kind is StrategyKind.AESTHETIC:
-        return lambda c: (-symmetry_score(theory(c)), tie(c))
+        def aesthetic(c):
+            out = dropped(c)
+            kept = tuple(k for i, k in enumerate(clauses) if i not in out)
+            return -symmetry_score(Theory(predicates, kept)), tie(c)
+        return aesthetic
 
     def deductive(c):
         age = tie(c)
@@ -153,9 +160,9 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
     Candidates rank by the strategy's score, then by age: the retracted
     clauses counted from the newest, sorted.  Distinct retraction sets have
     distinct ages, so ties never reach the canonical text.  The scores come
-    from the retraction set without building the candidate, except the
-    aesthetic one, and only the first `budget` distinct theories of the
-    ranking are built.
+    from the retraction set; the aesthetic one scores the kept clauses as an
+    unordered set, and only the first `budget` distinct theories of the
+    ranking are built, in clause order.
 
     Returns at most `budget` distinct theories, and none when the observed
     literals contradict each other."""
@@ -236,38 +243,11 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
     # except the observed units among them, which are recorded again, plus
     # the observed units the theory lacks.
     recorded = {j for _, j in unit_slots if j is not None}
-    fresh = [u for u, j in unit_slots if j is None]
-    sizes = [len(c.literals) for c in clauses]
-    literal_total = sum(sizes) + len(fresh)
-    prefix = canonical_text(preds, ())
-    rendering = None
-
-    def text(retracted):
-        # the canonical text of every candidate filters one sorted rendering,
-        # made on the first call
-        nonlocal rendering
-        if rendering is None:
-            rendering = [
-                (i, rendered)
-                for _, i, rendered in sorted(
-                    [(c.sort_key(), i, c.render()) for i, c in enumerate(clauses)]
-                    + [(u.sort_key(), n, u.render()) for u in fresh]
-                )
-            ]
-        dropped = retracted - recorded
-        return prefix + "; ".join([t for i, t in rendering if i not in dropped])
-
-    def literals(retracted):
-        return literal_total - sum(sizes[i] for i in retracted - recorded)
-
-    def age(retracted):
-        return tuple(sorted(n - 1 - i for i in retracted))
-
-    candidates.sort(
-        key=_strategy_key(
-            strategy, age, text, literals, lambda r: Theory(preds, kept(r))
-        )
-    )
+    fresh = tuple(u for u, j in unit_slots if j is None)
+    candidates.sort(key=_strategy_key(
+        strategy, preds, clauses + fresh, lambda r: r - recorded,
+        lambda r: tuple(sorted(n - 1 - i for i in r)),  # the age
+    ))
     ranked = []
     seen = set()
     for retracted in candidates:
@@ -302,27 +282,16 @@ def _bridging_candidates(theory: Theory, new_pred: int, old_preds):
 def _bridge(theory: Theory, options, strategy: RevisionStrategy) -> Theory:
     """The theory extended by the strategy's choice among the bridging
     clauses `options`, ranked by score and then canonical text."""
-    # the canonical text of every option inserts it into one sorted rendering
-    rendering = sorted((c.sort_key(), c.render()) for c in theory.clauses)
-    keys = [key for key, _ in rendering]
-    body = [text for _, text in rendering]
-    texts = {}
-    for c in options:
-        at = bisect(keys, c.sort_key())
-        prefix = canonical_text(theory.predicates | c.predicates(), ())
-        texts[c] = prefix + "; ".join(body[:at] + [c.render()] + body[at:])
-    literal_total = sum(len(c.literals) for c in theory.clauses)
-    best = min(
-        options,
-        key=_strategy_key(
-            strategy,
-            texts.__getitem__,
-            texts.__getitem__,
-            lambda c: literal_total + len(c.literals),
-            theory.with_clause,
-        ),
-    )
-    return theory.with_clause(best)
+    # `revise` offers only options over predicates already in the theory (the
+    # new predicate and its anchors): one predicate prefix is exact for them all
+    clauses = theory.clauses + tuple(options)
+    slots = range(len(theory.clauses), len(clauses))
+    others = {i: frozenset(slots).difference([i]) for i in slots}
+    text = canonical_texts(theory.predicates, clauses)
+    best = min(others, key=_strategy_key(
+        strategy, theory.predicates, clauses, others.__getitem__, lambda i: text(others[i])
+    ))
+    return theory.with_clause(clauses[best])
 
 
 def revise(agent: AgentState, observations, strategy: RevisionStrategy) -> AgentState:

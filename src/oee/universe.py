@@ -137,7 +137,7 @@ class Theory:
         return _models(self)
 
     def canonical_text(self) -> str:
-        return canonical_text(self.predicates, self.clauses)
+        return canonical_texts(self.predicates, self.clauses)(())
 
     def digest(self) -> str:
         return text_digest(self.canonical_text())
@@ -153,11 +153,16 @@ def _rendered(c: Clause) -> tuple[tuple[tuple[int, bool], ...], str]:
     return c.sort_key(), c.render()
 
 
-def canonical_text(predicates: frozenset[int], clauses) -> str:
-    """The canonical text of `Theory(predicates, clauses)`, without building
-    it: clauses rendered in sort-key order, each rendering cached."""
-    body = "; ".join([text for _, text in sorted(map(_rendered, clauses))])
-    return f"[{_predicate_list(predicates)}] {body}"
+def canonical_texts(predicates: frozenset[int], clauses):
+    """`text(dropped)`: the canonical text of the theory over `predicates` that
+    keeps the clauses not indexed in `dropped`, from one rendering in sort-key order."""
+    head = f"[{_predicate_list(predicates)}] "
+    rendering = sorted(enumerate(map(_rendered, clauses)), key=lambda r: r[1][0])
+
+    def text(dropped) -> str:
+        return head + "; ".join([t for i, (_, t) in rendering if i not in dropped])
+
+    return text
 
 
 def text_digest(text: str) -> str:

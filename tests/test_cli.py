@@ -77,6 +77,11 @@ def test_check_bad_frame_exit_2(tmp_path):
      "error: partitions. 1: agent id must be a decimal integer"),
     ({**FRAME, "partitions": {"1_0": FRAME["partitions"]["1"]}},
      "error: partitions.1_0: agent id must be a decimal integer"),
+    # class entries are looked up among the ground's states
+    ({**FRAME, "ground": ["00", "01", "10"]},
+     "error: partitions.1: state '11' lies outside the ground"),
+    ({**FRAME, "partitions": {"1": [["00", "0"], ["10", "11"]]}},
+     "error: partitions.1[0]: expected 2 bits, got '0'"),
 ])
 def test_check_rejects_bad_frame_field(tmp_path, frame, message):
     path = tmp_path / "f.json"

@@ -80,6 +80,8 @@ def test_bad_strategy():
     ({"runn": {"ticks": 5}}, "runn"),
     ({"agents": [{"id": 1, "visibilty": "1/2"}]}, "agents[0].visibilty"),
     ({"run": {"tick": 5}}, "run.tick"),
+    # a niche entry is a predicate index, so not negative
+    ({"agents": [{"id": 1, "niche": [-3]}]}, "agents[0].niche"),
 ])
 def test_schema_rejects_booleans_and_unknown_keys(overrides, path):
     with pytest.raises(SchemaError) as exc:
@@ -329,13 +331,12 @@ def test_jsonl_roundtrip(tmp_path):
     assert (back.ticks, back.depth, back.agents) == (trace.ticks, trace.depth, trace.agents)
 
 
-def test_csv_export(tmp_path):
+def test_trace_exports_only_as_jsonl(tmp_path):
     s = scenario_from_dict(minimal(run={"ticks": 1}))
     path = tmp_path / "m.csv"
-    export(run(s, 0), "csv", path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("tick,agent,coverage")
-    assert len(lines) == 2
+    with pytest.raises(ValueError, match="unknown trace format 'csv'"):
+        export(run(s, 0), "csv", path)
+    assert not path.exists()
 
 
 def test_export_unwritable():

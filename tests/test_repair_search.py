@@ -11,9 +11,11 @@ truth table, where the engine decides bridging clauses on masks.
 
 `Theory.models` runs on the same kernel as the engine's consistency checks,
 so no reference here asks it: `consistent_by_sweep` tries every assignment
-with `Clause.satisfied_by`.
+with `Clause.satisfied_by`.  Likewise the canonical text the ranking hashes
+and ties on comes from `reference_text`, not from the engine's builder.
 """
 
+import hashlib
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import and_
@@ -31,7 +33,16 @@ from oee.revision import (
     symmetry_score,
 )
 from oee.rng import mix
-from oee.universe import Clause, State, Theory, clause, residues, satisfiable, unit
+from oee.universe import (
+    Clause,
+    State,
+    Theory,
+    canonical_texts,
+    clause,
+    residues,
+    satisfiable,
+    unit,
+)
 
 # --- reference ---------------------------------------------------------------
 
@@ -76,17 +87,24 @@ def reference_symmetry_score(theory: Theory) -> int:
     return count
 
 
+def reference_text(theory: Theory) -> str:
+    """The canonical text by its definition: the sorted predicate list, then
+    each clause rendered, in `Clause.sort_key` order."""
+    body = "; ".join(c.render() for c in sorted(theory.clauses, key=Clause.sort_key))
+    return f"[{','.join(str(p) for p in sorted(theory.predicates))}] {body}"
+
+
 def reference_age(retracted, n_clauses: int):
     return tuple(sorted(n_clauses - 1 - i for i in retracted))
 
 
 def reference_key(strategy: RevisionStrategy, theory: Theory, retracted, n_clauses: int):
     age = reference_age(retracted, n_clauses)
-    text = theory.canonical_text()
+    text = reference_text(theory)
     if strategy.kind is StrategyKind.DEDUCTIVE:
         primary = (len(retracted), age)
     elif strategy.kind is StrategyKind.RANDOM:
-        primary = mix(strategy.seed, int(theory.digest(), 16))
+        primary = mix(strategy.seed, int(hashlib.sha256(text.encode()).hexdigest()[:16], 16))
     elif strategy.kind is StrategyKind.HEURISTIC:
         primary = sum(len(c.literals) for c in theory.clauses)
     else:
@@ -283,6 +301,32 @@ def test_bridging_verdicts_match_models(theory, data):
     theory = Theory(theory.predicates | old_preds | {new_pred}, theory.clauses)
     assert [theory.with_clause(c) for c in _bridging_candidates(theory, new_pred, old_preds)] \
         == reference_bridging_candidates(theory, new_pred, old_preds)
+
+
+# predicates past 9, where "p10" sorts before "p2" as text
+wide_clauses = st.dictionaries(
+    st.integers(0, 12), st.booleans(), min_size=1, max_size=3
+).map(lambda d: Clause(frozenset(d.items())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(wide_clauses, max_size=10, unique=True), st.data())
+def test_canonical_texts_match_reference(clauses, data):
+    clauses = tuple(clauses)
+    extra = data.draw(st.sets(st.integers(0, 14), max_size=2))
+    preds = frozenset(extra).union(*(c.predicates() for c in clauses))
+    dropped = data.draw(st.sets(st.integers(0, len(clauses))))
+    kept = tuple(c for i, c in enumerate(clauses) if i not in dropped)
+    assert canonical_texts(preds, clauses)(dropped) == reference_text(Theory(preds, kept))
+    assert Theory(preds, clauses).canonical_text() == reference_text(Theory(preds, clauses))
+    # the bridging shape: a theory's clauses plus options, all options but one dropped
+    options = data.draw(st.lists(wide_clauses.filter(lambda c: c not in clauses),
+                                 min_size=1, max_size=4, unique=True))
+    preds = preds.union(*(c.predicates() for c in options))
+    text = canonical_texts(preds, clauses + tuple(options))
+    slots = range(len(clauses), len(clauses) + len(options))
+    for i, option in zip(slots, options):
+        assert text(set(slots) - {i}) == reference_text(Theory(preds, clauses + (option,)))
 
 
 @st.composite
