@@ -88,7 +88,7 @@ def check_cmd(frame_path, formula, at):
 
 @main.command("run")
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
-@click.option("--replicate", default=0, show_default=True)
+@click.option("--replicate", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_guard
 def run_cmd(scenario_path, replicate, out_path):
@@ -119,7 +119,8 @@ def agree_cmd(frame_path, event_path, at):
 
 @main.command("ergodic")
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
-@click.option("--replicates", default=None, type=int, help="override scenario replicate count")
+@click.option("--replicates", default=None, type=click.IntRange(min=2),
+              help="override scenario replicate count")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_guard
 def ergodic_cmd(scenario_path, replicates, out_path):
@@ -137,7 +138,7 @@ def ergodic_cmd(scenario_path, replicates, out_path):
 
 @main.command("compare-search")
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
-@click.option("--replicate", default=0, show_default=True)
+@click.option("--replicate", default=0, show_default=True, type=click.IntRange(min=0))
 @_guard
 def compare_search_cmd(scenario_path, replicate):
     """Compare each configured strategy against a deductive twin."""

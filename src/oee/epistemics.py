@@ -80,12 +80,14 @@ class Partition:
 
 
 def partition_from_classes(ground, classes) -> Partition:
-    canonical = tuple(sorted((frozenset(c) for c in classes), key=_class_key))
+    """The partition of `ground` into `classes`, ordered by least element
+    (states by `State.sort_key`): disjoint classes differ there already."""
+    canonical = tuple(sorted((frozenset(c) for c in classes), key=_least_key))
     return Partition(frozenset(ground), canonical)
 
 
-def _class_key(cls: frozenset):
-    return sorted(e.sort_key() if isinstance(e, State) else (e,) for e in cls)
+def _least_key(cls: frozenset):
+    return min((e.sort_key() if isinstance(e, State) else (e,) for e in cls), default=())
 
 
 def truth_of_mask(mask: int, full: int) -> Truth3:

@@ -10,7 +10,10 @@ across reruns and platforms.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
+import stat
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -486,38 +489,42 @@ def compare_strategies(scenario: Scenario, replicate: int = 0):
 
 
 def export(obj, fmt: str, path) -> None:
-    path = Path(path)
     if isinstance(obj, Trace):
         if fmt != "jsonl":
             raise ValueError(f"unknown trace format {fmt!r}")
-        with open(path, "w") as fh:
-            header = {
-                "agents": list(obj.agents),
-                "depth": obj.depth,
-                "kind": "header",
-                "ticks": obj.ticks,
-            }
-            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-            for event in obj.events:
-                fh.write(event.to_json() + "\n")
+        header = {"agents": list(obj.agents), "depth": obj.depth, "kind": "header",
+                  "ticks": obj.ticks}
+        lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+        lines.extend(event.to_json() for event in obj.events)
+        _overwrite(path, "\n".join(lines) + "\n", None)
         return
     if isinstance(obj, ErgodicityReport):
         if fmt != "csv":
             raise ValueError("ergodicity reports export as csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["agent", "mean_time_average", "ensemble_final", "max_coverage", "gap"])
-            for a in sorted(obj.ensemble_final):
-                mean_ta = sum(obj.time_averages[a], Fraction(0)) / len(obj.time_averages[a])
-                writer.writerow([
-                    a,
-                    str(mean_ta),
-                    str(obj.ensemble_final[a]),
-                    str(obj.max_coverage[a]),
-                    str(obj.gap),
-                ])
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(["agent", "mean_time_average", "ensemble_final", "max_coverage", "gap"])
+        for a in sorted(obj.ensemble_final):
+            mean_ta = sum(obj.time_averages[a], Fraction(0)) / len(obj.time_averages[a])
+            writer.writerow([a, str(mean_ta), str(obj.ensemble_final[a]),
+                             str(obj.max_coverage[a]), str(obj.gap)])
+        _overwrite(path, buffer.getvalue(), "")
         return
     raise TypeError(f"cannot export {type(obj).__name__}")
+
+
+def _overwrite(path, text: str, newline: str | None) -> None:
+    """Write `text` over the file at `path` in place, keeping its inode and mode.
+    Opening with O_TRUNC frees every block of the old file, which can stall for
+    tens of milliseconds on a file system that discards freed blocks; cutting
+    the file at the end of the new text, also when the write fails, frees only
+    the blocks past it.  A pipe or device is not cut."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline) as fh:
+        try:
+            fh.write(text)
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def _trace_event(record: dict, path: str) -> TraceEvent:

@@ -107,21 +107,24 @@ def _contradicted(literals):
     return None
 
 
-def _strategy_key(strategy: RevisionStrategy, predicates, clauses, dropped, tie):
+def _strategy_key(strategy: RevisionStrategy, predicates, clauses, dropped, tie, text=None):
     """Sort key of `strategy` over candidates: the strategy's score (lower
     ranks first), then `tie(c)`, which tells any two candidates apart.
 
     A candidate `c` is the theory over `predicates` that keeps every clause
     of `clauses` whose index is not in `dropped(c)`.  Each strategy derives
     from that the one view of it that it needs: random hashes its canonical
-    text, and is the only strategy that builds texts; heuristic prefers fewer
+    text `text(c)`, built here from `clauses` unless the caller has it, and is
+    the only strategy that builds texts; heuristic prefers fewer
     literals; aesthetic prefers a higher symmetry score of the kept clause
     set.  Deductive ranks repairs only, with `tie(c)` the retraction age: by
     the number of clauses retracted, then by age."""
     kind = strategy.kind
     if kind is StrategyKind.RANDOM:
-        text = canonical_texts(predicates, clauses)
-        return lambda c: (mix(strategy.seed, int(text_digest(text(dropped(c))), 16)), tie(c))
+        if text is None:
+            texts = canonical_texts(predicates, clauses)
+            text = lambda c: texts(dropped(c))
+        return lambda c: (mix(strategy.seed, int(text_digest(text(c)), 16)), tie(c))
     if kind is StrategyKind.HEURISTIC:
         sizes = [len(c.literals) for c in clauses]
         total = sum(sizes)
@@ -288,8 +291,10 @@ def _bridge(theory: Theory, options, strategy: RevisionStrategy) -> Theory:
     slots = range(len(theory.clauses), len(clauses))
     others = {i: frozenset(slots).difference([i]) for i in slots}
     text = canonical_texts(theory.predicates, clauses)
-    best = min(others, key=_strategy_key(
-        strategy, theory.predicates, clauses, others.__getitem__, lambda i: text(others[i])
+    texts = {i: text(dropped) for i, dropped in others.items()}
+    best = min(texts, key=_strategy_key(
+        strategy, theory.predicates, clauses, others.__getitem__, texts.__getitem__,
+        text=texts.__getitem__,
     ))
     return theory.with_clause(clauses[best])
 

@@ -363,6 +363,8 @@ def _write(path, document):
     ([TRACE_HEADER, EVENT], "t.jsonl", ["bins", "--trace", "{}"]),
     (SCENARIO, "s.json", ["ergodic", "--scenario", "{}", "--out", "{dir}/r.csv"]),
     (SCENARIO, "s.json", ["compare-search", "--scenario", "{}"]),
+    (SCENARIO, "s.json", ["run", "--scenario", "{}", "--replicate", "0", "--out", "{dir}/t.jsonl"]),
+    (SCENARIO, "s.json", ["ergodic", "--scenario", "{}", "--replicates", "2", "--out", "{dir}/r.csv"]),
 ])
 def test_malformed_input_fails_with_one_error_line(tmp_path, valid, name, command):
     """Each mutation of a valid input file either runs, or exits 1 or 2 with
@@ -381,6 +383,28 @@ def test_malformed_input_fails_with_one_error_line(tmp_path, valid, name, comman
         ):
             faults.append((label, result.exit_code, result.output[-200:], result.exception))
     assert not faults
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", "--replicate", "-1", "--out", "{dir}/t.jsonl"], "-1 is not in the range x>=0"),
+    (["compare-search", "--replicate", "-1"], "-1 is not in the range x>=0"),
+    (["ergodic", "--replicates", "1", "--out", "{dir}/r.csv"], "1 is not in the range x>=2"),
+    (["ergodic", "--replicates", "0", "--out", "{dir}/r.csv"], "0 is not in the range x>=2"),
+], ids=["run", "compare-search", "ergodic-1", "ergodic-0"])
+def test_replicate_bounds_exit_2_before_any_run(tmp_path, monkeypatch, args, message):
+    """`rng.fold` masks to 64 bits, so replicate -1 would run replicate 2**64 - 1;
+    an ensemble of fewer than 2 replicates has no ergodicity report."""
+    def no_run(*_):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr("oee.cli.run", no_run)
+    monkeypatch.setattr("oee.cli.compare_strategies", no_run)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(SCENARIO))
+    result = invoke(args[0], "--scenario", str(scenario), *[a.format(dir=tmp_path) for a in args[1:]])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert not any(tmp_path.glob("[rt].*"))
 
 
 @pytest.mark.parametrize("formula", DEEP_FORMULAS, ids=["negations", "parentheses", "chain"])

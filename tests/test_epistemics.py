@@ -132,6 +132,31 @@ def test_partition_generic_over_ints():
     assert p.class_of(3) == frozenset({3, 4})
 
 
+def class_key(cls: frozenset):
+    """The reference class order: each class sorted, compared as a list."""
+    return sorted(e.sort_key() if isinstance(e, State) else (e,) for e in cls)
+
+
+def shuffled_classes(elements):
+    """Disjoint classes of `elements`, in a drawn order."""
+    return st.lists(st.integers(0, 5), min_size=len(elements), max_size=len(elements)).flatmap(
+        lambda labels: st.permutations([
+            frozenset(e for e, label in zip(elements, labels) if label == k)
+            for k in set(labels)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.sets(st.integers(-50, 50), max_size=12).map(sorted),
+    st.sets(st.frozensets(st.integers(0, 3)), max_size=12).map(
+        lambda ts: [State(frozenset(range(4)), t) for t in ts]),
+).flatmap(lambda ground: st.tuples(st.just(ground), shuffled_classes(ground))))
+def test_partition_orders_classes_by_least_element(case):
+    ground, classes = case
+    p = partition_from_classes(ground, classes)
+    assert list(p.classes) == sorted(classes, key=class_key)
+
+
 def test_information_partition_splits_on_observation():
     a = agent(
         theory_of({0, 1}, clause((0, True), (1, True))),

@@ -1,4 +1,7 @@
+import csv
 import json
+import os
+import stat
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -343,6 +346,100 @@ def test_export_unwritable():
     s = scenario_from_dict(minimal(run={"ticks": 1}))
     with pytest.raises(OSError):
         export(run(s, 0), "jsonl", "/nonexistent-dir/x.jsonl")
+
+
+@pytest.fixture(params=["jsonl", "csv"])
+def exported(request, tmp_path):
+    """A trace or an ergodicity report, its format, and the bytes it exports to."""
+    s = scenario_from_dict(minimal(run={"ticks": 5}))
+    traces = [run(s, r) for r in range(2)]
+    obj = traces[0] if request.param == "jsonl" else ergodicity_report(traces, 1)
+    return obj, request.param, export_reference(obj, tmp_path / "reference")
+
+
+def export_reference(obj, path) -> bytes:
+    """The bytes of the truncate-on-open writer that `export` replaced."""
+    if isinstance(obj, Trace):
+        with open(path, "w") as fh:
+            header = {"agents": list(obj.agents), "depth": obj.depth, "kind": "header",
+                      "ticks": obj.ticks}
+            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+            for event in obj.events:
+                fh.write(event.to_json() + "\n")
+    else:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["agent", "mean_time_average", "ensemble_final", "max_coverage", "gap"])
+            for a in sorted(obj.ensemble_final):
+                mean_ta = sum(obj.time_averages[a], Fraction(0)) / len(obj.time_averages[a])
+                writer.writerow([a, str(mean_ta), str(obj.ensemble_final[a]),
+                                 str(obj.max_coverage[a]), str(obj.gap)])
+    return path.read_bytes()
+
+
+def test_export_bytes_match_the_reference_writer(tmp_path, exported):
+    obj, fmt, expected = exported
+    export(obj, fmt, tmp_path / "new")
+    assert (tmp_path / "new").read_bytes() == expected
+    assert expected.endswith(b"\r\n" if fmt == "csv" else b"\n")
+
+
+@pytest.mark.parametrize("old", [b"x" * 100_000, b"old\n"], ids=["longer", "shorter"])
+def test_export_over_existing_file_leaves_exactly_the_new_bytes(tmp_path, exported, old):
+    obj, fmt, expected = exported
+    path = tmp_path / "out"
+    path.write_bytes(old)
+    export(obj, fmt, path)
+    assert path.read_bytes() == expected
+
+
+def test_export_keeps_the_inode_and_mode(tmp_path, exported):
+    obj, fmt, expected = exported
+    path = tmp_path / "out"
+    path.write_bytes(b"old")
+    path.chmod(0o604)
+    link = tmp_path / "link"
+    os.link(path, link)
+    before = path.stat()
+    export(obj, fmt, path)
+    after = path.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o604)
+    assert link.read_bytes() == expected
+
+
+def test_export_opens_without_truncating(tmp_path, exported, monkeypatch):
+    """Truncation on open stalls on some file systems; a revert to
+    `open(path, "w")` bypasses `os.open` and fails here too."""
+    obj, fmt, expected = exported
+    path = tmp_path / "out"
+    path.write_bytes(b"old" * 1000)
+    flags = []
+    real_open = os.open
+
+    def recording_open(file, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(file, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    export(obj, fmt, path)
+    monkeypatch.undo()
+    assert flags and not any(f & os.O_TRUNC for f in flags)
+    assert path.read_bytes() == expected
+
+
+def test_export_to_a_device_writes_without_cutting(exported):
+    """A device or pipe cannot be truncated; writing to one still succeeds."""
+    obj, fmt, _ = exported
+    export(obj, fmt, os.devnull)
+
+
+def test_unserialisable_trace_leaves_the_file_untouched(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b"previous trace\n")
+    trace = Trace(ticks=1, depth=1, agents=(1,), events=[TraceEvent(1, 0, "x", 1, {"s": {1}})])
+    with pytest.raises(TypeError):
+        export(trace, "jsonl", path)
+    assert path.read_bytes() == b"previous trace\n"
 
 
 # --- strategy comparison -----------------------------------------------------

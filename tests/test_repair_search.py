@@ -23,10 +23,12 @@ from operator import and_
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oee import revision
 from oee.epistemics import agent_state
 from oee.revision import (
     RevisionStrategy,
     StrategyKind,
+    _bridge,
     _bridging_candidates,
     propose_revisions,
     revise,
@@ -327,6 +329,33 @@ def test_canonical_texts_match_reference(clauses, data):
     slots = range(len(clauses), len(clauses) + len(options))
     for i, option in zip(slots, options):
         assert text(set(slots) - {i}) == reference_text(Theory(preds, clauses + (option,)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(theories(), st.lists(literal_sets, min_size=1, max_size=5, unique=True),
+       st.sampled_from([k for k in StrategyKind if k is not StrategyKind.DEDUCTIVE]))
+def test_bridge_builds_each_option_text_once(theory, options, kind):
+    """One clause rendering per bridge, and one canonical text per option,
+    which random both hashes and ties on."""
+    options = [c for c in options if c not in theory.clauses]
+    assume(options)
+    theory = Theory(theory.predicates.union(*(c.predicates() for c in options)), theory.clauses)
+    renderings, built = [], []
+
+    def counting(predicates, clauses):
+        renderings.append(clauses)
+        text = canonical_texts(predicates, clauses)
+        return lambda dropped: built.append(sorted(dropped)) or text(dropped)
+
+    revision.canonical_texts, real = counting, revision.canonical_texts
+    try:
+        chosen = _bridge(theory, options, RevisionStrategy(kind, 5))
+    finally:
+        revision.canonical_texts = real
+    slots = set(range(len(theory.clauses), len(theory.clauses) + len(options)))
+    assert len(renderings) == 1
+    assert sorted(built) == sorted(sorted(slots - {i}) for i in slots)
+    assert chosen in [theory.with_clause(c) for c in options]
 
 
 @st.composite
