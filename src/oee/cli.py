@@ -127,6 +127,8 @@ def ergodic_cmd(scenario_path, replicates, out_path):
     """Run an ensemble and write the ergodicity report."""
     scenario = load_scenario(scenario_path)
     n = replicates if replicates is not None else scenario.run.replicates
+    if n < 2:
+        raise SchemaError("run.replicates", "an ensemble needs at least 2 replicates")
     traces = [run(scenario, r) for r in range(n)]
     report = ergodicity_report(traces, scenario.run.depth)
     export(report, "csv", out_path)

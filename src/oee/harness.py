@@ -558,7 +558,7 @@ def ingest_trace(path) -> Trace:
             if record.get("kind") == "header":
                 header = record
                 continue
-            events.append(_trace_event(record, f"line {n}"))
+            events.append((n, _trace_event(record, f"line {n}")))
     if header is None:
         raise ValueError("trace file has no header line")
     for key in ("ticks", "depth"):
@@ -570,9 +570,13 @@ def ingest_trace(path) -> Trace:
         raise SchemaError("header.agents", "must be a list of agent ids")
     for i, agent in enumerate(agents):
         _integer(agent, f"header.agents[{i}]")
+    ticks = header["ticks"]
+    for n, event in events:
+        if not 1 <= event.tick <= ticks:
+            raise SchemaError(f"line {n}.tick", f"must lie in the header's tick range 1..{ticks}")
     return Trace(
-        ticks=header["ticks"],
+        ticks=ticks,
         depth=header["depth"],
         agents=tuple(agents),
-        events=events,
+        events=[event for _, event in events],
     )

@@ -98,15 +98,6 @@ def symmetry_score(theory: Theory) -> int:
     return count
 
 
-def _contradicted(literals):
-    """A predicate that `literals` give both truth values, or None."""
-    seen = {}
-    for p, v in literals:
-        if seen.setdefault(p, v) != v:
-            return p
-    return None
-
-
 def _strategy_key(strategy: RevisionStrategy, predicates, clauses, dropped, tie, text=None):
     """Sort key of `strategy` over candidates: the strategy's score (lower
     ranks first), then `tie(c)`, which tells any two candidates apart.
@@ -143,22 +134,26 @@ def _strategy_key(strategy: RevisionStrategy, predicates, clauses, dropped, tie,
     return deductive
 
 
+REPAIR_BREADTH = 128
+"""The number of consistent retraction sets at which a repair search stops
+taking further size levels, whatever the budget."""
+
+
 def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, budget: int):
     """Ranked consistent repairs of the agent's theory against the observed
     literals: retract some clauses, keep the rest, record the observations as
     unit clauses.  Ranking is strategy-scored, deterministic given seeds.
 
     The candidates are the consistent retraction sets drawn from the suspect
-    pool (the clauses linked to an observed predicate through shared
-    predicates), or from all clauses when no retraction from that pool is
-    consistent.  They are taken a whole size level at a time by increasing
+    pool, the clauses linked to an observed predicate through shared
+    predicates.  They are taken a whole size level at a time by increasing
     size:
 
     - deductive: up to the first level at which they make `budget` distinct
       theories, so the repairs are the first retraction sets in increasing
       (size, age) order;
     - other strategies: up to the first level at which their count reaches
-      max(8 * budget, 64), which also ends a deductive search.
+      REPAIR_BREADTH, which also ends a deductive search.
 
     Candidates rank by the strategy's score, then by age: the retracted
     clauses counted from the newest, sorted.  Distinct retraction sets have
@@ -167,14 +162,18 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
     unordered set, and only the first `budget` distinct theories of the
     ranking are built, in clause order.
 
-    Returns at most `budget` distinct theories, and none when the observed
-    literals contradict each other."""
+    Returns the first `budget` distinct theories of a ranking that does not
+    depend on `budget`.  Observed literals that give a predicate both values
+    raise ContradictoryObservations; a theory that is inconsistent apart from
+    the suspect pool, which no retraction from the pool repairs, raises
+    ValueError."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     conflict = sorted(frozenset(conflict))
-    if _contradicted(conflict) is not None:
-        return []
     observed = dict(conflict)
+    if len(observed) < len(conflict):
+        p = next(p for (p, _), (q, _) in zip(conflict, conflict[1:]) if p == q)
+        raise ContradictoryObservations(f"observations give predicate p{p} both values")
     theory = agent.theory
     clauses = theory.clauses
     preds = theory.predicates.union(observed)
@@ -191,12 +190,10 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
             u for u, j in unit_slots if j is None or j in retracted
         )
 
-    pool_cap = max(budget * 8, 64)
     deductive = strategy.kind is StrategyKind.DEDUCTIVE
-    # Any unsatisfiable core of theory + observation units is connected (via
-    # shared predicates) to an observed predicate, because the theory alone is
-    # consistent.  Minimal repairs therefore retract only conflict-connected
-    # clauses; the full clause set is the fallback.
+    # Any unsatisfiable core of a consistent theory plus the observation units
+    # is connected (via shared predicates) to an observed predicate, so
+    # minimal repairs retract only conflict-connected clauses.
     clause_preds = [c.predicates() for c in clauses]
     reach = set(observed)
     suspects: set[int] = set()
@@ -208,38 +205,32 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
                 suspects.add(i)
                 reach |= c_preds
                 grown = True
-    pools = [sorted(suspects)]
-    if len(suspects) < n:
-        pools.append(list(range(n)))
     # every falsified clause mentions only observed predicates, so is a suspect
     falsified, residue = residues(clauses, observed)
+    # the clauses outside the suspect pool share no predicate with it, so they
+    # are satisfiable apart or not at all, and retracting the whole pool
+    # repairs the theory exactly when they are
+    if not satisfiable([r for i, r in residue.items() if i not in suspects]):
+        raise ValueError("the theory is inconsistent apart from the clauses the observation reaches")
+    optional = sorted(suspects - falsified)
+    pool_residues = frozenset(suspects & residue.keys())
+    verdicts: dict[frozenset[int], bool] = {}
     candidates = []
-    for pool in pools:
-        # the clauses outside the suspect pool share no predicate with it, so
-        # they are satisfiable apart or not at all
-        inside = set(pool)
-        if not satisfiable([r for i, r in residue.items() if i not in inside]):
-            continue
-        optional = [i for i in pool if i not in falsified]
-        pool_residues = frozenset(inside & residue.keys())
-        verdicts: dict[frozenset[int], bool] = {}
-        for size in range(len(falsified), len(pool) + 1):
-            for extra in combinations(optional, size - len(falsified)):
-                kept_residues = pool_residues.difference(extra)
-                consistent = verdicts.get(kept_residues)
-                if consistent is None:
-                    consistent = verdicts[kept_residues] = satisfiable(
-                        [residue[i] for i in kept_residues]
-                    )
-                if consistent:
-                    candidates.append(falsified.union(extra))
-            if len(candidates) >= pool_cap or (
-                deductive
-                and len(candidates) >= budget
-                and len({kept(r) for r in candidates}) >= budget
-            ):
-                break
-        if candidates:
+    for size in range(len(falsified), len(suspects) + 1):
+        for extra in combinations(optional, size - len(falsified)):
+            kept_residues = pool_residues.difference(extra)
+            consistent = verdicts.get(kept_residues)
+            if consistent is None:
+                consistent = verdicts[kept_residues] = satisfiable(
+                    [residue[i] for i in kept_residues]
+                )
+            if consistent:
+                candidates.append(falsified.union(extra))
+        if len(candidates) >= REPAIR_BREADTH or (
+            deductive
+            and len(candidates) >= budget
+            and len({kept(r) for r in candidates}) >= budget
+        ):
             break
 
     # As a clause set, a candidate is the theory less its retracted clauses,
@@ -306,11 +297,6 @@ def revise(agent: AgentState, observations, strategy: RevisionStrategy) -> Agent
     recorded as unit clauses.  The result is always consistent; observations
     that give a predicate both values raise ContradictoryObservations."""
     obs = frozenset(observations)
-    contradicted = _contradicted(sorted(obs))
-    if contradicted is not None:
-        raise ContradictoryObservations(
-            f"observations give predicate p{contradicted} both values"
-        )
     old_theory = agent.theory
     old_preds = agent.predicates
     new_preds = sorted({p for p, _ in obs} - old_preds)
@@ -325,11 +311,10 @@ def revise(agent: AgentState, observations, strategy: RevisionStrategy) -> Agent
             if u not in old_theory.clauses
         ),
     )
-    if with_units.models():
+    if satisfiable([c.masks for c in with_units.clauses]):
         theory = with_units
     else:
-        budget = 1 if strategy.kind is StrategyKind.DEDUCTIVE else 16
-        theory = propose_revisions(agent, obs, strategy, budget)[0]
+        theory = propose_revisions(agent, obs, strategy, 1)[0]
 
     if strategy.kind is not StrategyKind.DEDUCTIVE:
         anchors = old_preds if old_preds else set()
@@ -355,9 +340,7 @@ def classify_extension(old: Theory, new: Theory) -> ExtensionClass:
         return ExtensionClass.NOT_AN_EXTENSION
     if new.predicates != old.predicates:
         return ExtensionClass.ESSENTIAL
-    # over one language, a clause of `new` is entailed when every model of
-    # `old` satisfies it
-    models = old.models()
-    if all(c.satisfied_by(s) for c in new.clauses for s in models):
+    # over one language, `new` is entailed when every model of `old` is one of `new`
+    if set(old.models()) <= set(new.models()):
         return ExtensionClass.INESSENTIAL
     return ExtensionClass.ESSENTIAL

@@ -161,6 +161,8 @@ EVENT = {"tick": 2, "seq": 0, "kind": "revision", "agent": 1, "payload": {}}
     ({**EVENT, "agent": "1"}, "error: line 2.agent: must be an integer"),
     ({**EVENT, "payload": []}, "error: line 2.payload: must be an object"),
     ([EVENT], "error: line 2: must be an object"),
+    ({**EVENT, "tick": 0}, "error: line 2.tick: must lie in the header's tick range 1..3"),
+    ({**EVENT, "tick": 4}, "error: line 2.tick: must lie in the header's tick range 1..3"),
 ])
 def test_bins_rejects_bad_event(tmp_path, event, message):
     trace = tmp_path / "t.jsonl"
@@ -385,22 +387,32 @@ def test_malformed_input_fails_with_one_error_line(tmp_path, valid, name, comman
     assert not faults
 
 
-@pytest.mark.parametrize("args, message", [
-    (["run", "--replicate", "-1", "--out", "{dir}/t.jsonl"], "-1 is not in the range x>=0"),
-    (["compare-search", "--replicate", "-1"], "-1 is not in the range x>=0"),
-    (["ergodic", "--replicates", "1", "--out", "{dir}/r.csv"], "1 is not in the range x>=2"),
-    (["ergodic", "--replicates", "0", "--out", "{dir}/r.csv"], "0 is not in the range x>=2"),
-], ids=["run", "compare-search", "ergodic-1", "ergodic-0"])
-def test_replicate_bounds_exit_2_before_any_run(tmp_path, monkeypatch, args, message):
+ENSEMBLE_OF_ONE = "error: run.replicates: an ensemble needs at least 2 replicates\n"
+
+
+@pytest.mark.parametrize("args, replicates, message", [
+    (["run", "--replicate", "-1", "--out", "{dir}/t.jsonl"], 3, "-1 is not in the range x>=0"),
+    (["compare-search", "--replicate", "-1"], 3, "-1 is not in the range x>=0"),
+    (["ergodic", "--replicates", "1", "--out", "{dir}/r.csv"], 3, "1 is not in the range x>=2"),
+    (["ergodic", "--replicates", "0", "--out", "{dir}/r.csv"], 3, "0 is not in the range x>=2"),
+    (["ergodic", "--out", "{dir}/r.csv"], None, ENSEMBLE_OF_ONE),
+    (["ergodic", "--out", "{dir}/r.csv"], 1, ENSEMBLE_OF_ONE),
+], ids=["run", "compare-search", "ergodic-1", "ergodic-0",
+        "ergodic-scenario-default", "ergodic-scenario-1"])
+def test_replicate_bounds_exit_2_before_any_run(tmp_path, monkeypatch, args, replicates, message):
     """`rng.fold` masks to 64 bits, so replicate -1 would run replicate 2**64 - 1;
-    an ensemble of fewer than 2 replicates has no ergodicity report."""
+    an ensemble of fewer than 2 replicates has no ergodicity report, and a
+    scenario without `run.replicates` has 1."""
     def no_run(*_):
         raise AssertionError("a replicate ran")
 
     monkeypatch.setattr("oee.cli.run", no_run)
     monkeypatch.setattr("oee.cli.compare_strategies", no_run)
+    run_config = {k: v for k, v in SCENARIO["run"].items() if k != "replicates"}
+    if replicates is not None:
+        run_config["replicates"] = replicates
     scenario = tmp_path / "s.json"
-    scenario.write_text(json.dumps(SCENARIO))
+    scenario.write_text(json.dumps({**SCENARIO, "run": run_config}))
     result = invoke(args[0], "--scenario", str(scenario), *[a.format(dir=tmp_path) for a in args[1:]])
     assert result.exit_code == 2
     assert message in result.output

@@ -1,7 +1,8 @@
 """Repair search and bridging checked against a slow reference.
 
-`reference_propose_revisions` is the search as first written: it builds a
-`Theory` for every retraction set, decides whether it is consistent by truth
+`reference_propose_revisions` is the search by its definition: it builds a
+`Theory` for every retraction set from the suspect pool, a whole size level
+at a time until REPAIR_BREADTH are consistent, decides consistency by truth
 table and ranks by (score, age, canonical text).  The engine decides
 consistency on clause bitmasks instead, stops the deductive search early,
 scores candidates from their retraction sets and breaks ties on age alone;
@@ -26,6 +27,8 @@ from hypothesis import strategies as st
 from oee import revision
 from oee.epistemics import agent_state
 from oee.revision import (
+    REPAIR_BREADTH,
+    ContradictoryObservations,
     RevisionStrategy,
     StrategyKind,
     _bridge,
@@ -140,24 +143,21 @@ def repair(theory: Theory, conflict, retracted) -> Theory:
 
 def reference_propose_revisions(agent, conflict, strategy: RevisionStrategy, budget: int):
     conflict = sorted(frozenset(conflict))
+    if any((p, not v) in conflict for p, v in conflict):
+        raise ContradictoryObservations("observations give a predicate both values")
     theory = agent.theory
     n = len(theory.clauses)
     candidates = []
-    pool_cap = max(budget * 8, 64)
-    suspects = suspect_pool(theory, conflict)
-    pools = [suspects]
-    if len(suspects) < n:
-        pools.append(list(range(n)))
-    for pool in pools:
-        for size in range(len(pool) + 1):
-            for retracted in combinations(pool, size):
-                candidate = repair(theory, conflict, retracted)
-                if consistent_by_sweep(candidate):
-                    candidates.append((retracted, candidate))
-            if len(candidates) >= pool_cap:
-                break
-        if candidates:
+    pool = suspect_pool(theory, conflict)
+    for size in range(len(pool) + 1):
+        for retracted in combinations(pool, size):
+            candidate = repair(theory, conflict, retracted)
+            if consistent_by_sweep(candidate):
+                candidates.append((retracted, candidate))
+        if len(candidates) >= REPAIR_BREADTH:
             break
+    if not candidates:
+        raise ValueError("no retraction from the suspect pool repairs the theory")
     candidates.sort(key=lambda rc: reference_key(strategy, rc[1], rc[0], n))
     ranked = []
     seen = set()
@@ -197,7 +197,7 @@ def reference_revise(agent, observations, strategy: RevisionStrategy) -> Theory:
     theory = Theory(old.predicates | {p for p, _ in obs},
                     old.clauses + tuple(u for u in units if u not in old.clauses))
     if not consistent_by_sweep(theory):
-        theory = reference_propose_revisions(agent, obs, strategy, 1 if deductive else 16)[0]
+        theory = reference_propose_revisions(agent, obs, strategy, 1)[0]
     if deductive:
         return theory
     anchors = agent.predicates
@@ -261,14 +261,36 @@ strategies = st.builds(
 # --- properties ------------------------------------------------------------------
 
 
+def outcome(search, *args):
+    """The search's repairs, or the type of the error it raises."""
+    try:
+        return search(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
 @settings(max_examples=300, deadline=None)
 @given(theories().flatmap(lambda t: st.tuples(st.just(t), conflicts(t))),
        strategies, st.integers(1, 16))
 def test_propose_revisions_matches_reference(case, strategy, budget):
+    # the theory may be inconsistent and the observations may contradict, so
+    # both sides may raise
     theory, conflict = case
     a = agent_state(1, theory)
-    assert propose_revisions(a, conflict, strategy, budget) == \
-        reference_propose_revisions(a, conflict, strategy, budget)
+    assert outcome(propose_revisions, a, conflict, strategy, budget) == \
+        outcome(reference_propose_revisions, a, conflict, strategy, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theories().flatmap(lambda t: st.tuples(st.just(t), conflicts(t))),
+       strategies, st.integers(1, 15), st.integers(1, 16))
+def test_budget_only_truncates_the_ranking(case, strategy, budget, more):
+    theory, conflict = case
+    assume(consistent_by_sweep(theory))
+    a = agent_state(1, theory)
+    conflict = consistent(conflict)
+    wider = propose_revisions(a, conflict, strategy, budget + more)
+    assert propose_revisions(a, conflict, strategy, budget) == wider[:budget]
 
 
 @settings(max_examples=300, deadline=None)
@@ -380,18 +402,18 @@ def test_symmetry_score_matches_brute_force(theory):
 
 
 def test_candidate_sets_follow_their_definition():
-    # p0 is observed true: the unit ~p0 must go, the seven clauses p0 | pi are
+    # p0 is observed true: the unit ~p0 must go, the nine clauses p0 | pi are
     # satisfied whatever is kept, and p20 lies outside the suspect pool
     conflict = {(0, True)}
     theory = Theory(
-        frozenset(range(8)) | {20},
-        (unit(0, False),) + tuple(clause((0, True), (i, True)) for i in range(1, 8))
+        frozenset(range(10)) | {20},
+        (unit(0, False),) + tuple(clause((0, True), (i, True)) for i in range(1, 10))
         + (unit(20, True),),
     )
     a = agent_state(1, theory)
     n = len(theory.clauses)
     pool = suspect_pool(theory, conflict)
-    assert pool == list(range(8))
+    assert pool == list(range(10))
     consistent = [
         r for size in range(len(pool) + 1) for r in combinations(pool, size)
         if consistent_by_sweep(repair(theory, conflict, r))
@@ -404,21 +426,23 @@ def test_candidate_sets_follow_their_definition():
     assert propose_revisions(a, conflict, RevisionStrategy(StrategyKind.DEDUCTIVE), budget) \
         == expected
     assert expected[0] == repair(theory, conflict, (0,))
-    assert expected[1] == repair(theory, conflict, (0, 7))
+    assert expected[1] == repair(theory, conflict, (0, 9))
 
-    # the others: every consistent retraction up to the first size level at
-    # which the count reaches max(8 * budget, 64) = 64, here 1 + 7 + 21 + 35
-    pool_cap = max(8 * budget, 64)
+    # the others, whatever the budget: every consistent retraction up to the
+    # first size level at which the count reaches REPAIR_BREADTH = 128, here
+    # 1 + 9 + 36 + 84
     level = next(k for k in range(len(pool) + 1)
-                 if sum(len(r) <= k for r in consistent) >= pool_cap)
+                 if sum(len(r) <= k for r in consistent) >= REPAIR_BREADTH)
     assert level == 4
     candidates = [r for r in consistent if len(r) <= level]
     heuristic = RevisionStrategy(StrategyKind.HEURISTIC)
     candidates.sort(key=lambda r: reference_key(
         heuristic, repair(theory, conflict, r), r, n))
-    ranked = propose_revisions(a, conflict, heuristic, budget)
-    assert ranked == [repair(theory, conflict, r) for r in candidates[:budget]]
-    # the fewest literals win, so without the cap the largest retractions would
+    for budget in (1, 8, 20):
+        ranked = propose_revisions(a, conflict, heuristic, budget)
+        assert ranked == [repair(theory, conflict, r) for r in candidates[:budget]]
+    # the fewest literals win, so a search past the breadth would rank the
+    # largest retractions first
     for t in ranked:
         assert len(t.clauses) == n - level + 1
         assert unit(20, True) in t.clauses

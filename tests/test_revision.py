@@ -94,12 +94,33 @@ def test_revise_rejects_contradictory_observations():
     assert issubclass(ContradictoryObservations, ValueError)
 
 
+def test_revise_never_enumerates_models(monkeypatch):
+    def no_models(self):
+        raise AssertionError("revise enumerated models")
+
+    monkeypatch.setattr(Theory, "models", no_models)
+    base = theory_of({0, 1}, unit(0, True), clause((0, False), (1, True)))
+    for kind in StrategyKind:
+        strategy = RevisionStrategy(kind, 3)
+        # contradicted, extending, both at once, and consistent news
+        for obs in ({(1, False)}, {(2, True), (3, False)}, {(0, False), (4, True)}, {(1, True)}):
+            out = revise(agent(base), obs, strategy)
+            assert obs <= {next(iter(c.literals)) for c in out.theory.clauses if len(c.literals) == 1}
+
+
 # --- propose_revisions -------------------------------------------------------
 
 def test_propose_contradictory_observations_has_no_repair():
     a = agent(theory_of({0, 1}, unit(1, True)))
     for kind in StrategyKind:
-        assert propose_revisions(a, {(0, True), (0, False)}, RevisionStrategy(kind), 4) == []
+        with pytest.raises(ContradictoryObservations, match="p0 both values"):
+            propose_revisions(a, {(0, True), (0, False)}, RevisionStrategy(kind), 4)
+    # p20 is inconsistent and shares no predicate with the observation, so no
+    # retraction from the suspect pool {~p1} repairs the theory
+    a = agent(theory_of({1, 20}, unit(1, False), unit(20, True), unit(20, False)))
+    for kind in StrategyKind:
+        with pytest.raises(ValueError, match="inconsistent apart from"):
+            propose_revisions(a, {(1, True)}, RevisionStrategy(kind), 4)
 
 
 def test_propose_minimal_retractions_first():
