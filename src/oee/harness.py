@@ -2,9 +2,11 @@
 and the ergodicity / time-binning experiments.
 
 A run is fully determined by (scenario, replicate index): the universe stream
-is seeded from hash(seed, replicate) and every agent observation from
-hash(seed, replicate, agent, tick, predicate), so traces are byte-identical
-across reruns and platforms.
+is seeded from hash(seed, replicate) and every agent observation draw from
+hash(hash(seed, replicate, agent), salt, tick, predicate), where the salt is 0
+for an agent's first draw of a tick and 1 for the second draw that the
+nonlogical strategies make, so traces are byte-identical across reruns and
+platforms.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Theory revision under novelty.
 
-Two duties: repair a theory contradicted by observation (retract clauses until
-the observed literals fit, then record them as units), and extend the language
-when observations mention unknown predicates.  Strategies differ in how they
-rank repair candidates and in which unforced bridging clauses they adopt when
-the language grows; the deductive strategy adopts none.
+Two duties: record observations, retracting clauses first when they
+contradict the theory (`propose_revisions`, the one path every observation
+takes), and extend the language when observations mention unknown predicates.
+Strategies differ in how they rank repair candidates and in which unforced
+bridging clauses they adopt when the language grows; the deductive strategy
+adopts none.
 """
 
 from __future__ import annotations
@@ -144,10 +145,12 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
     literals: retract some clauses, keep the rest, record the observations as
     unit clauses.  Ranking is strategy-scored, deterministic given seeds.
 
-    The candidates are the consistent retraction sets drawn from the suspect
-    pool, the clauses linked to an observed predicate through shared
-    predicates.  They are taken a whole size level at a time by increasing
-    size:
+    An observation that fits needs no retraction: when it falsifies no clause
+    and the clauses it reduces stay satisfiable, the one theory that records
+    it is returned, whatever the strategy and budget.  Otherwise the
+    candidates are the consistent retraction sets drawn from the suspect pool,
+    the clauses linked to an observed predicate through shared predicates.
+    They are taken a whole size level at a time by increasing size:
 
     - deductive: up to the first level at which they make `budget` distinct
       theories, so the repairs are the first retraction sets in increasing
@@ -180,15 +183,17 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
     n = len(clauses)
     # an observed unit is re-recorded, after the kept clauses, unless the
     # theory holds it at an index that is kept
-    unit_slots = [
-        (u, clauses.index(u) if u in clauses else None)
-        for u in (unit(p, v) for p, v in conflict)
-    ]
+    index = {c: i for i, c in enumerate(clauses)}
+    unit_slots = [(u, index.get(u)) for u in (unit(p, v) for p, v in conflict)]
 
     def kept(retracted):
         return tuple(c for i, c in enumerate(clauses) if i not in retracted) + tuple(
             u for u, j in unit_slots if j is None or j in retracted
         )
+
+    falsified, residue = residues(clauses, observed)
+    if not falsified and satisfiable(residue.values()):
+        return [Theory(preds, kept(()))]
 
     deductive = strategy.kind is StrategyKind.DEDUCTIVE
     # Any unsatisfiable core of a consistent theory plus the observation units
@@ -205,11 +210,10 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
                 suspects.add(i)
                 reach |= c_preds
                 grown = True
-    # every falsified clause mentions only observed predicates, so is a suspect
-    falsified, residue = residues(clauses, observed)
-    # the clauses outside the suspect pool share no predicate with it, so they
-    # are satisfiable apart or not at all, and retracting the whole pool
-    # repairs the theory exactly when they are
+    # every falsified clause mentions only observed predicates, so is a
+    # suspect; the clauses outside the suspect pool share no predicate with
+    # it, so they are satisfiable apart or not at all, and retracting the
+    # whole pool repairs the theory exactly when they are
     if not satisfiable([r for i, r in residue.items() if i not in suspects]):
         raise ValueError("the theory is inconsistent apart from the clauses the observation reaches")
     optional = sorted(suspects - falsified)
@@ -291,33 +295,19 @@ def _bridge(theory: Theory, options, strategy: RevisionStrategy) -> Theory:
 
 
 def revise(agent: AgentState, observations, strategy: RevisionStrategy) -> AgentState:
-    """One revision step.  Language extension for unknown predicates (with one
-    strategy-chosen bridging clause per new predicate for the nonlogical
-    strategies), retraction-based repair for contradictions, observed literals
-    recorded as unit clauses.  The result is always consistent; observations
-    that give a predicate both values raise ContradictoryObservations."""
+    """One revision step: `propose_revisions` records the observed literals
+    as unit clauses, repaired first if they contradict the theory, then each
+    unknown predicate gains one strategy-chosen bridging clause (none for the
+    deductive strategy).  The result is always consistent; observations that
+    give a predicate both values raise ContradictoryObservations."""
     obs = frozenset(observations)
     old_theory = agent.theory
     old_preds = agent.predicates
     new_preds = sorted({p for p, _ in obs} - old_preds)
-
-    with_units = Theory(
-        old_theory.predicates | {p for p, _ in obs},
-        old_theory.clauses
-        + tuple(
-            u
-            for p, v in sorted(obs)
-            for u in (unit(p, v),)
-            if u not in old_theory.clauses
-        ),
-    )
-    if satisfiable([c.masks for c in with_units.clauses]):
-        theory = with_units
-    else:
-        theory = propose_revisions(agent, obs, strategy, 1)[0]
+    theory = propose_revisions(agent, obs, strategy, 1)[0]
 
     if strategy.kind is not StrategyKind.DEDUCTIVE:
-        anchors = old_preds if old_preds else set()
+        anchors = old_preds
         for q in new_preds:
             if not anchors:
                 anchors = {p for p in theory.predicates if p != q}

@@ -2,8 +2,9 @@
 state, and per-tick novelty events (variation / innovation / emergence).
 
 The generator owns a single splitmix64 stream; observations are drawn from
-stateless hashes keyed by (agent seed, tick, predicate) so that agent
-observation never perturbs Nature's stream.
+stateless hashes keyed by (agent seed, salt, tick, predicate), the salt
+telling apart an agent's draws within one tick, so that agent observation
+never perturbs Nature's stream.
 
 Every clause carries its integer form (pos_mask, neg_mask), bit p for
 predicate p, and one procedure decides clause sets: `solutions`, unit

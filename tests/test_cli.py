@@ -372,12 +372,13 @@ def test_malformed_input_fails_with_one_error_line(tmp_path, valid, name, comman
     """Each mutation of a valid input file either runs, or exits 1 or 2 with
     one `error:` line; no other exception escapes."""
     (tmp_path / "frame.json").write_text(json.dumps(FRAME))
-    path = tmp_path / name
-    args = [a.format(path, dir=tmp_path) for a in command]
     faults = []
-    for label, document in _mutations(valid):
+    # each mutation gets a file of its own: truncating and rewriting one file
+    # hundreds of times can cost far more than the commands it feeds
+    for n, (label, document) in enumerate(_mutations(valid)):
+        path = tmp_path / f"{n}-{name}"
         _write(path, document)
-        result = invoke(*args)
+        result = invoke(*[a.format(path, dir=tmp_path) for a in command])
         errors = [line for line in result.output.splitlines() if line.startswith("error:")]
         if not (
             (result.exception is None or isinstance(result.exception, SystemExit))

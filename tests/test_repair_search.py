@@ -1,14 +1,15 @@
 """Repair search and bridging checked against a slow reference.
 
-`reference_propose_revisions` is the search by its definition: it builds a
-`Theory` for every retraction set from the suspect pool, a whole size level
-at a time until REPAIR_BREADTH are consistent, decides consistency by truth
-table and ranks by (score, age, canonical text).  The engine decides
-consistency on clause bitmasks instead, stops the deductive search early,
-scores candidates from their retraction sets and breaks ties on age alone;
-these tests hold it to the same ranked repairs.  `reference_revise` likewise
-builds every bridging candidate with `Theory.with_clause` and decides it by
-truth table, where the engine decides bridging clauses on masks.
+`reference_propose_revisions` is the search by its definition: it returns
+the theory that records the observation when that theory is consistent, and
+otherwise builds a `Theory` for every retraction set from the suspect pool, a
+whole size level at a time until REPAIR_BREADTH are consistent, decides
+consistency by truth table and ranks by (score, age, canonical text).  The
+engine decides consistency on clause bitmasks instead, stops the deductive
+search early, scores candidates from their retraction sets and breaks ties on
+age alone; these tests hold it to the same ranked repairs.  `reference_revise`
+likewise builds every bridging candidate with `Theory.with_clause` and decides
+it by truth table, where the engine decides bridging clauses on masks.
 
 `Theory.models` runs on the same kernel as the engine's consistency checks,
 so no reference here asks it: `consistent_by_sweep` tries every assignment
@@ -146,6 +147,9 @@ def reference_propose_revisions(agent, conflict, strategy: RevisionStrategy, bud
     if any((p, not v) in conflict for p, v in conflict):
         raise ContradictoryObservations("observations give a predicate both values")
     theory = agent.theory
+    recorded = repair(theory, conflict, ())
+    if consistent_by_sweep(recorded):
+        return [recorded]
     n = len(theory.clauses)
     candidates = []
     pool = suspect_pool(theory, conflict)
@@ -191,14 +195,8 @@ def reference_revise(agent, observations, strategy: RevisionStrategy) -> Theory:
     """The theory `revise` gives, from the reference repair search and
     bridging, each bridge ranked by (score, canonical text)."""
     obs = frozenset(observations)
-    deductive = strategy.kind is StrategyKind.DEDUCTIVE
-    old = agent.theory
-    units = tuple(unit(p, v) for p, v in sorted(obs))
-    theory = Theory(old.predicates | {p for p, _ in obs},
-                    old.clauses + tuple(u for u in units if u not in old.clauses))
-    if not consistent_by_sweep(theory):
-        theory = reference_propose_revisions(agent, obs, strategy, 1)[0]
-    if deductive:
+    theory = reference_propose_revisions(agent, obs, strategy, 1)[0]
+    if strategy.kind is StrategyKind.DEDUCTIVE:
         return theory
     anchors = agent.predicates
     for q in sorted({p for p, _ in obs} - agent.predicates):
@@ -221,18 +219,24 @@ literal_sets = st.dictionaries(
 ).map(lambda d: Clause(frozenset(d.items())))
 
 
+def true_at(state, clauses):
+    """The clauses, each one false at `state` with its least predicate's
+    literal flipped, so that every clause is true there."""
+    return list(dict.fromkeys(
+        c if any(state[p] == pol for p, pol in c.literals)
+        else Clause(frozenset((p, state[p] if p == min(c.predicates()) else pol)
+                              for p, pol in c.literals))
+        for c in clauses
+    ))
+
+
 @st.composite
 def theories(draw):
     clauses = draw(st.lists(literal_sets, max_size=10, unique=True))
     if draw(st.booleans()):
         # like an agent's theory: true at some state, so consistent
         state = draw(st.fixed_dictionaries({p: st.booleans() for p in PREDICATES}))
-        clauses = list(dict.fromkeys(
-            c if any(state[p] == pol for p, pol in c.literals)
-            else Clause(frozenset((p, state[p] if p == min(c.predicates()) else pol)
-                                  for p, pol in c.literals))
-            for c in clauses
-        ))
+        clauses = true_at(state, clauses)
     extra = draw(st.sets(st.sampled_from(PREDICATES), max_size=2))
     preds = frozenset(extra).union(*(c.predicates() for c in clauses))
     return Theory(preds, tuple(clauses))
@@ -279,6 +283,32 @@ def test_propose_revisions_matches_reference(case, strategy, budget):
     a = agent_state(1, theory)
     assert outcome(propose_revisions, a, conflict, strategy, budget) == \
         outcome(reference_propose_revisions, a, conflict, strategy, budget)
+
+
+@st.composite
+def fitting_cases(draw):
+    """A theory and observed literals, both true at one state over the
+    predicates 0..9, so the observation fits; it may name predicates the
+    theory lacks."""
+    state = draw(st.fixed_dictionaries({p: st.booleans() for p in range(10)}))
+    theory = draw(theories())
+    observed = draw(st.sets(st.integers(0, 9), min_size=1, max_size=5))
+    return (Theory(theory.predicates, tuple(true_at(state, theory.clauses))),
+            frozenset((p, state[p]) for p in observed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fitting_cases(), st.integers(0, 2**64 - 1))
+def test_observation_that_fits_is_recorded_without_retraction(case, seed):
+    # every strategy and every budget get the one theory that records it
+    theory, conflict = case
+    recorded = repair(theory, conflict, ())
+    assert consistent_by_sweep(recorded)
+    a = agent_state(1, theory)
+    for kind in StrategyKind:
+        for budget in range(1, 17):
+            assert propose_revisions(a, conflict, RevisionStrategy(kind, seed), budget) \
+                == [recorded]
 
 
 @settings(max_examples=300, deadline=None)

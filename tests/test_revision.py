@@ -1,5 +1,6 @@
 import pytest
 
+from oee import revision
 from oee.epistemics import agent_state
 from oee.revision import (
     ContradictoryObservations,
@@ -106,6 +107,26 @@ def test_revise_never_enumerates_models(monkeypatch):
         for obs in ({(1, False)}, {(2, True), (3, False)}, {(0, False), (4, True)}, {(1, True)}):
             out = revise(agent(base), obs, strategy)
             assert obs <= {next(iter(c.literals)) for c in out.theory.clauses if len(c.literals) == 1}
+
+
+def test_revise_calls_propose_revisions_once(monkeypatch):
+    calls = []
+    real = revision.propose_revisions
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(revision, "propose_revisions", counting)
+    base = agent(theory_of({0, 1}, unit(0, True), clause((0, False), (1, True))))
+    for kind in StrategyKind:
+        strategy = RevisionStrategy(kind, 3)
+        # nothing, fitting, contradicting, extending, and contradicting while extending
+        for obs in (set(), {(1, True)}, {(1, False)}, {(2, True), (3, False)},
+                    {(0, False), (4, True)}):
+            calls.clear()
+            revise(base, obs, strategy)
+            assert calls == [(base, frozenset(obs), strategy, 1)]
 
 
 # --- propose_revisions -------------------------------------------------------
