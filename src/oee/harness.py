@@ -16,10 +16,8 @@ import io
 import json
 import os
 import stat
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import product
 from pathlib import Path
 
 from .epistemics import AgentState, Truth3, adjacent_possible, agent_state, decide, \
@@ -27,7 +25,8 @@ from .epistemics import AgentState, Truth3, adjacent_possible, agent_state, deci
 from .formula import enumerate_sentences, evaluate, render
 from .revision import RevisionStrategy, StrategyKind, classify_extension, revise
 from .rng import mix
-from .universe import NoveltyKind, State, UniverseGenerator, empty_theory
+from .universe import NoveltyKind, State, UniverseGenerator, _models, empty_theory, \
+    predicate_mask
 
 
 class SchemaError(ValueError):
@@ -206,6 +205,10 @@ def load_scenario(path) -> Scenario:
 # --- traces ------------------------------------------------------------------
 
 
+# one encoder for every trace line: `json.dumps` with these settings builds one per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
     tick: int
@@ -222,7 +225,7 @@ class TraceEvent:
             "agent": self.agent,
             "payload": self.payload,
         }
-        return json.dumps(record, sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode(record)
 
 
 @dataclass(slots=True)
@@ -248,33 +251,63 @@ def sentence_types(agent: AgentState, revealed: frozenset[int], actual: State, d
     sentences of `enumerate_sentences(revealed, depth)` fall in each type:
     (bitmask of the models where the sentence holds, its value at `actual`),
     or None for every sentence with an atom outside the agent's language.
+    The atoms are counted by type in groups: the language's predicates split
+    by their bit in each model's true-mask, then by their value at `actual`.
     The counts follow the enumeration, S_d = S_0 + Not(S_{d-1}) + {And, Or,
     Implies}(S_{d-1}^2), whose parts are disjoint by construction; a
     compound's type is its operator applied to its operands' masks and
     values."""
     if not revealed or depth < 0:
         raise ValueError("coverage needs a nonempty revealed set and a depth >= 0")
-    models = agent.theory.models()
+    models = _models(agent.theory)
     full = (1 << len(models)) - 1
-    language = revealed & agent.predicates
-    masks = dict.fromkeys(language, 0)
+    revealed_mask = predicate_mask(revealed)
+    language = revealed_mask & agent.theory.mask
+    outside = language & ~predicate_mask(actual.domain)
+    if outside:
+        raise KeyError((outside & -outside).bit_length() - 1)
+    # model mask -> the language's predicates true in exactly those models
+    columns = {0: language}
     for k, model in enumerate(models):
-        for p in model.true & language:
-            masks[p] |= 1 << k
-    base = Counter((masks[p], actual.value(p)) if p in masks else None for p in revealed)
+        split = {}
+        for column, preds in columns.items():
+            if preds & model:
+                split[column | 1 << k] = preds & model
+            if preds & ~model:
+                split[column] = preds & ~model
+        columns = split
+    true = predicate_mask(actual.true)
+    base = {}
+    for column, preds in columns.items():
+        if preds & true:
+            base[column, True] = (preds & true).bit_count()
+        if preds & ~true:
+            base[column, False] = (preds & ~true).bit_count()
+    if revealed_mask & ~language:
+        base[None] = (revealed_mask & ~language).bit_count()
     counts = base
     for _ in range(depth):
-        grown = Counter(base)
-        for t, n in counts.items():
-            grown[None if t is None else (full & ~t[0], not t[1])] += n
-        for (t, n), (u, k) in product(counts.items(), repeat=2):
-            if t is None or u is None:
-                grown[None] += 3 * n * k
-                continue
-            (a, x), (b, y) = t, u
-            grown[a & b, x and y] += n * k
-            grown[a | b, x or y] += n * k
-            grown[(full & ~a) | b, not x or y] += n * k
+        grown = dict(base)
+        get = grown.get
+        typed = [(t, n) for t, n in counts.items() if t is not None]
+        for (a, x), n in typed:
+            key = full & ~a, not x
+            grown[key] = get(key, 0) + n
+        # a compound with an operand outside the language is outside it: its
+        # Not, and each binary operator over the pairs that have one such operand
+        untyped = counts.get(None, 0)
+        if untyped:
+            total = sum(counts.values())
+            grown[None] = get(None, 0) + untyped + 3 * untyped * (2 * total - untyped)
+        for (a, x), n in typed:
+            for (b, y), k in typed:
+                nk = n * k
+                key = a & b, x and y
+                grown[key] = get(key, 0) + nk
+                key = a | b, x or y
+                grown[key] = get(key, 0) + nk
+                key = (full & ~a) | b, not x or y
+                grown[key] = get(key, 0) + nk
         counts = grown
     return full, counts
 
@@ -496,7 +529,7 @@ def export(obj, fmt: str, path) -> None:
             raise ValueError(f"unknown trace format {fmt!r}")
         header = {"agents": list(obj.agents), "depth": obj.depth, "kind": "header",
                   "ticks": obj.ticks}
-        lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+        lines = [_ENCODER.encode(header)]
         lines.extend(event.to_json() for event in obj.events)
         _overwrite(path, "\n".join(lines) + "\n", None)
         return

@@ -19,8 +19,10 @@ from .epistemics import AgentState
 from .rng import mix
 from .universe import (
     Theory,
+    _models,
     canonical_texts,
     clause,
+    literal_masks,
     residues,
     satisfiable,
     text_digest,
@@ -147,7 +149,9 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
 
     An observation that fits needs no retraction: when it falsifies no clause
     and the clauses it reduces stay satisfiable, the one theory that records
-    it is returned, whatever the strategy and budget.  Otherwise the
+    it is returned, whatever the strategy and budget.  A consistent theory
+    whose unit clauses already assert every observed literal is that theory
+    itself, returned as it is.  Otherwise the
     candidates are the consistent retraction sets drawn from the suspect pool,
     the clauses linked to an observed predicate through shared predicates.
     They are taken a whole size level at a time by increasing size:
@@ -172,12 +176,17 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
     ValueError."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    conflict = sorted(frozenset(conflict))
-    observed = dict(conflict)
-    if len(observed) < len(conflict):
-        p = next(p for (p, _), (q, _) in zip(conflict, conflict[1:]) if p == q)
+    conflict = frozenset(conflict)
+    true, false = literal_masks(conflict)
+    if true & false:
+        p = (true & false & -(true & false)).bit_length() - 1
         raise ContradictoryObservations(f"observations give predicate p{p} both values")
     theory = agent.theory
+    held_true, held_false = theory.units
+    if not (true & ~held_true or false & ~held_false) and theory.consistent():
+        return [theory]
+    conflict = sorted(conflict)
+    observed = dict(conflict)
     clauses = theory.clauses
     preds = theory.predicates.union(observed)
     n = len(clauses)
@@ -199,16 +208,15 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
     # Any unsatisfiable core of a consistent theory plus the observation units
     # is connected (via shared predicates) to an observed predicate, so
     # minimal repairs retract only conflict-connected clauses.
-    clause_preds = [c.predicates() for c in clauses]
-    reach = set(observed)
+    reach = true | false
     suspects: set[int] = set()
     grown = True
     while grown:
         grown = False
-        for i, c_preds in enumerate(clause_preds):
-            if i not in suspects and c_preds & reach:
+        for i, c in enumerate(clauses):
+            if i not in suspects and c.mask & reach:
                 suspects.add(i)
-                reach |= c_preds
+                reach |= c.mask
                 grown = True
     # every falsified clause mentions only observed predicates, so is a
     # suspect; the clauses outside the suspect pool share no predicate with
@@ -324,13 +332,14 @@ def revise(agent: AgentState, observations, strategy: RevisionStrategy) -> Agent
 
 
 def classify_extension(old: Theory, new: Theory) -> ExtensionClass:
-    shared = old.predicates & new.predicates
-    # a model restricted to `shared` has the domain `shared`, so its true set names it
-    if not {s.true & shared for s in new.models()} <= {s.true & shared for s in old.models()}:
+    old_models, new_models = _models(old), _models(new)
+    shared = old.mask & new.mask
+    # a model restricted to `shared` is named by its true-mask there
+    if not {m & shared for m in new_models} <= {m & shared for m in old_models}:
         return ExtensionClass.NOT_AN_EXTENSION
-    if new.predicates != old.predicates:
+    if new.mask != old.mask:
         return ExtensionClass.ESSENTIAL
     # over one language, `new` is entailed when every model of `old` is one of `new`
-    if set(old.models()) <= set(new.models()):
+    if set(old_models) <= set(new_models):
         return ExtensionClass.INESSENTIAL
     return ExtensionClass.ESSENTIAL

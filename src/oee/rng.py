@@ -28,6 +28,18 @@ def fold(h: int, v: int) -> int:
     return _finalize((h + _GAMMA) & MASK64 ^ (v & MASK64))
 
 
+def folds(h: int, values) -> list[int]:
+    """[fold(h, v) for v in values], computed in one loop."""
+    h = (h + _GAMMA) & MASK64
+    out = []
+    for v in values:
+        z = h ^ (v & MASK64)
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
 def mix(*values: int) -> int:
     """Hash a tuple of integers into a 64-bit value. Order-sensitive."""
     h = 0x8C2F9D1A6E5B3C07

@@ -6,11 +6,16 @@ stateless hashes keyed by (agent seed, salt, tick, predicate), the salt
 telling apart an agent's draws within one tick, so that agent observation
 never perturbs Nature's stream.
 
-Every clause carries its integer form (pos_mask, neg_mask), bit p for
-predicate p, and one procedure decides clause sets: `solutions`, unit
-propagation and a split, which yields disjoint cubes of satisfying
-assignments.  `satisfiable` asks it for one cube, and `_models` (behind
-`Theory.models`) expands every cube over the predicates it leaves free.
+Clauses, theories and models are integers on the hot path, bit p for
+predicate p.  A clause carries its (pos_mask, neg_mask) and its predicate
+mask; a theory carries its predicate mask, the masks of its unit clauses, and
+a consistency verdict decided once per object.  One procedure decides clause
+sets: `solutions`, unit propagation and a split, which yields disjoint cubes
+of satisfying assignments.  `satisfiable` asks it for one cube, and `_models`
+expands every cube over the predicates it leaves free into true-masks, which
+the engine reads directly; `Theory.models` builds `State`s from them, once
+per theory, only for callers that want states.  Nature draws a tick's novelty kind by integer cuts
+and an agent's observations of a tick in one batch of `rng.folds`.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .rng import SplitMix64, fold, mix, stream
+from .rng import SplitMix64, folds, mix, stream
 
 
 class ConfigError(ValueError):
@@ -54,7 +59,7 @@ class State:
 
     def with_value(self, predicate: int, value: bool) -> "State":
         true = self.true | {predicate} if value else self.true - {predicate}
-        return State(self.domain | {predicate}, true)
+        return State(self.domain if predicate in self.domain else self.domain | {predicate}, true)
 
     def bits(self) -> str:
         """Bitstring over the sorted domain, e.g. '101'."""
@@ -69,28 +74,59 @@ class State:
 MAX_PREDICATE_INDEX = 1_000_000
 
 
+def literal_masks(literals) -> tuple[int, int]:
+    """(pos_mask, neg_mask) of (predicate, polarity) literals: bit p of the
+    first for each literal p, of the second for each ~p."""
+    pos = neg = 0
+    for p, pol in literals:
+        if not 0 <= p <= MAX_PREDICATE_INDEX:
+            raise ValueError(f"predicate index {p} lies outside 0..{MAX_PREDICATE_INDEX}")
+        if pol:
+            pos |= 1 << p
+        else:
+            neg |= 1 << p
+    return pos, neg
+
+
+@lru_cache(maxsize=256)
+def predicate_mask(predicates: frozenset[int]) -> int:
+    """The mask with bit p for each predicate p of the set."""
+    return literal_masks((p, True) for p in predicates)[0]
+
+
+def mask_bits(mask: int) -> tuple[int, ...]:
+    """The bits set in `mask`, ascending: the sorted predicates of a mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True, slots=True)
 class Clause:
     """Disjunction of literals (predicate, polarity).  `masks` is its integer
-    form (pos_mask, neg_mask), bit p for predicate p."""
+    form (pos_mask, neg_mask) and `mask` their union, bit p for predicate p;
+    the hash is computed once."""
 
     literals: frozenset[tuple[int, bool]]
     masks: tuple[int, int] = field(init=False, repr=False, compare=False)
+    mask: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.literals:
             raise ValueError("clause must be nonempty")
-        pos = neg = 0
-        for p, pol in self.literals:
-            if not 0 <= p <= MAX_PREDICATE_INDEX:
-                raise ValueError(f"clause predicate index {p} lies outside 0..{MAX_PREDICATE_INDEX}")
-            if (pos | neg) >> p & 1:
-                raise ValueError("clause may not mention a predicate with both polarities")
-            if pol:
-                pos |= 1 << p
-            else:
-                neg |= 1 << p
+        pos, neg = literal_masks(self.literals)
+        if pos & neg:
+            raise ValueError("clause may not mention a predicate with both polarities")
         object.__setattr__(self, "masks", (pos, neg))
+        object.__setattr__(self, "mask", pos | neg)
+        object.__setattr__(self, "_hash", hash((self.literals,)))
+
+    def __hash__(self):
+        return self._hash
 
     def predicates(self) -> frozenset[int]:
         return frozenset(p for p, _ in self.literals)
@@ -117,17 +153,42 @@ def unit(predicate: int, value: bool) -> Clause:
 @dataclass(frozen=True, slots=True)
 class Theory:
     """Finite clause set over a predicate set.  Clause order encodes age
-    (oldest first)."""
+    (oldest first).  `mask` has bit p for each predicate p, and `units` is
+    (true_mask, false_mask) of the literals its unit clauses assert; the hash
+    is computed once and consistency decided at most once."""
 
     predicates: frozenset[int]
     clauses: tuple[Clause, ...]
+    mask: int = field(init=False, repr=False, compare=False)
+    units: tuple[int, int] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+    _consistent: bool | None = field(default=None, init=False, repr=False, compare=False)
+    _states: tuple[State, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        mask = predicate_mask(self.predicates)
+        mentioned = true = false = 0
         for c in self.clauses:
-            if not c.predicates() <= self.predicates:
-                raise ValueError("clause mentions a predicate outside the theory")
+            mentioned |= c.mask
+            if not c.mask & (c.mask - 1):
+                true |= c.masks[0]
+                false |= c.masks[1]
+        if mentioned & ~mask:
+            raise ValueError("clause mentions a predicate outside the theory")
         if len(set(self.clauses)) != len(self.clauses):
             raise ValueError("duplicate clause")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "units", (true, false))
+        object.__setattr__(self, "_hash", hash((self.predicates, self.clauses)))
+
+    def __hash__(self):
+        return self._hash
+
+    def consistent(self) -> bool:
+        """Whether some assignment satisfies every clause (`satisfiable`)."""
+        if self._consistent is None:
+            object.__setattr__(self, "_consistent", satisfiable([c.masks for c in self.clauses]))
+        return self._consistent
 
     def with_clause(self, c: Clause) -> "Theory":
         if c in self.clauses:
@@ -135,7 +196,12 @@ class Theory:
         return Theory(self.predicates | c.predicates(), self.clauses + (c,))
 
     def models(self) -> tuple[State, ...]:
-        return _models(self)
+        """The models of `_models` as states over the theory's predicates,
+        built at most once."""
+        if self._states is None:
+            object.__setattr__(self, "_states", tuple(
+                State(self.predicates, frozenset(mask_bits(m))) for m in _models(self)))
+        return self._states
 
     def canonical_text(self) -> str:
         return canonical_texts(self.predicates, self.clauses)(())
@@ -178,12 +244,7 @@ def residues(clauses, observed):
     the indices of the clauses the observation falsifies and, for each clause
     it leaves open, its index -> (pos_mask, neg_mask) over the unobserved
     predicates.  Clauses the observation satisfies are in neither."""
-    true = false = 0
-    for p, v in observed.items():
-        if v:
-            true |= 1 << p
-        else:
-            false |= 1 << p
+    true, false = literal_masks(observed.items())
     falsified = []
     residue = {}
     for i, c in enumerate(clauses):
@@ -248,20 +309,37 @@ def empty_theory(predicates=frozenset()) -> Theory:
     return Theory(frozenset(predicates), ())
 
 
-@lru_cache(maxsize=65536)
-def _models(theory: Theory) -> tuple[State, ...]:
-    """All satisfying assignments over the theory's predicate set: the cubes
-    of `solutions`, each expanded over the predicates it leaves free."""
-    predicates = sorted(theory.predicates)
-    states = []
+MAX_MODELS = 1 << 16
+"""The most models `_models` expands, the states of 16 free predicates."""
+
+
+# 256 theories keep 25,370 of the 25,425 hits of an open_world round (seed 3000)
+# that an unbounded cache keeps, at 44.6 MiB peak against 50.7
+@lru_cache(maxsize=256)
+def _models(theory: Theory) -> tuple[int, ...]:
+    """All satisfying assignments over the theory's predicate set, each as its
+    true-mask, in `State.sort_key` order: the cubes of `solutions`, each
+    expanded over the predicates it leaves free.  More than MAX_MODELS
+    models, counted over the cubes before any is expanded, raise ValueError."""
+    cubes = []
+    count = 0
     for true, false in solutions([c.masks for c in theory.clauses]):
-        base = [p for p in predicates if true >> p & 1]
-        free = [p for p in predicates if not (true | false) >> p & 1]
-        for combo in range(1 << len(free)):
-            chosen = [p for i, p in enumerate(free) if combo >> i & 1]
-            states.append(State(theory.predicates, frozenset(base + chosen)))
-    states.sort(key=State.sort_key)
-    return tuple(states)
+        free = theory.mask & ~(true | false)
+        count += 1 << free.bit_count()
+        if count > MAX_MODELS:
+            raise ValueError(f"the theory has more than the limit of {MAX_MODELS:,} models")
+        cubes.append((true, free))
+    models = []
+    for true, free in cubes:
+        chosen = free
+        while True:
+            models.append(true | chosen)
+            if not chosen:
+                break
+            chosen = (chosen - 1) & free
+    if len(models) > 1:
+        models.sort(key=mask_bits)
+    return tuple(models)
 
 
 class NoveltyKind(Enum):
@@ -298,6 +376,12 @@ class UniverseGenerator:
             raise ConfigError("clause_arity must be >= 2")
         self.seed = seed
         self.weights = weights
+        # kind i is drawn when u / 2**64 < w_0 + ... + w_i: u * den < num << 64
+        self._cuts = []
+        acc = Fraction(0)
+        for w, kind in zip(weights, NoveltyKind):
+            acc += w
+            self._cuts.append((acc.numerator << 64, acc.denominator, kind))
         self.clause_arity = clause_arity
         self._rng: SplitMix64 = stream(seed, 0x554E49)
         self.tick_index = 0
@@ -323,11 +407,9 @@ class UniverseGenerator:
         return all(c.satisfied_by(self._actual) for c in self._clauses)
 
     def _draw_kind(self) -> NoveltyKind:
-        u = Fraction(self._rng.next_u64(), 1 << 64)
-        acc = Fraction(0)
-        for w, kind in zip(self.weights, NoveltyKind):
-            acc += w
-            if u < acc:
+        u = self._rng.next_u64()
+        for num, den, kind in self._cuts:
+            if u * den < num:
                 return kind
         return NoveltyKind.EMERGENCE
 
@@ -346,7 +428,10 @@ class UniverseGenerator:
         p = self._rng.choice(sorted(self.revealed_predicates))
         new_value = not self._actual.value(p)
         self._actual = self._actual.with_value(p, new_value)
-        falsified = tuple(c for c in self._clauses if not c.satisfied_by(self._actual))
+        true = predicate_mask(self._actual.true)
+        falsified = tuple(
+            c for c in self._clauses if not (c.masks[0] & true or c.masks[1] & ~true)
+        )
         for c in falsified:
             self._clauses.remove(c)
         return NoveltyEvent(
@@ -400,9 +485,11 @@ class UniverseGenerator:
         if not niche <= self.revealed_predicates:
             raise NicheError("niche contains unrevealed predicates")
         visibility = _as_fraction(visibility)
-        literals = {(p, self._actual.value(p)) for p in niche}
-        prefix = mix(agent_seed, salt, self.tick_index)
-        for p in sorted(self.revealed_predicates - niche):
-            if fold(prefix, p) * visibility.denominator < visibility.numerator << 64:
-                literals.add((p, self._actual.value(p)))
+        true = predicate_mask(self._actual.true)
+        literals = {(p, true >> p & 1 == 1) for p in niche}
+        others = sorted(self.revealed_predicates - niche)
+        num, den = visibility.numerator << 64, visibility.denominator
+        for p, draw in zip(others, folds(mix(agent_seed, salt, self.tick_index), others)):
+            if draw * den < num:
+                literals.add((p, true >> p & 1 == 1))
         return frozenset(literals)

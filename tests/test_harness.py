@@ -2,8 +2,10 @@ import csv
 import json
 import os
 import stat
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -178,6 +180,34 @@ def reference_decide(agent: AgentState, f) -> Truth3:
     return Truth3.UNDECIDABLE
 
 
+def reference_sentence_types(agent: AgentState, revealed, actual: State, depth: int):
+    """`sentence_types` with each atom's type read off the model states one
+    model at a time, and the compounds counted over every pair of types."""
+    models = agent.theory.models()
+    full = (1 << len(models)) - 1
+    language = revealed & agent.predicates
+    masks = dict.fromkeys(language, 0)
+    for k, model in enumerate(models):
+        for p in model.true & language:
+            masks[p] |= 1 << k
+    base = Counter((masks[p], actual.value(p)) if p in masks else None for p in revealed)
+    counts = base
+    for _ in range(depth):
+        grown = Counter(base)
+        for t, n in counts.items():
+            grown[None if t is None else (full & ~t[0], not t[1])] += n
+        for (t, n), (u, k) in product(counts.items(), repeat=2):
+            if t is None or u is None:
+                grown[None] += 3 * n * k
+                continue
+            (a, x), (b, y) = t, u
+            grown[a & b, x and y] += n * k
+            grown[a | b, x or y] += n * k
+            grown[(full & ~a) | b, not x or y] += n * k
+        counts = grown
+    return full, counts
+
+
 @st.composite
 def coverage_cases(draw):
     """An agent, the revealed predicates, the actual state and a depth.  The
@@ -206,6 +236,16 @@ def test_coverage_matches_oracle(case):
         coverage_slow(agent, revealed, actual, depth)
     _, counts = sentence_types(agent, revealed, actual, depth)
     assert sum(counts.values()) == len(enumerate_sentences(revealed, depth))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coverage_cases())
+def test_sentence_types_match_the_per_model_reference(case):
+    agent, revealed, actual, depth = case
+    full, counts = sentence_types(agent, revealed, actual, depth)
+    want_full, want = reference_sentence_types(agent, revealed, actual, depth)
+    assert full == want_full
+    assert Counter(counts) == want
 
 
 @settings(max_examples=150, deadline=None)

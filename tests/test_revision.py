@@ -1,6 +1,6 @@
 import pytest
 
-from oee import revision
+from oee import revision, universe
 from oee.epistemics import agent_state
 from oee.revision import (
     ContradictoryObservations,
@@ -96,10 +96,13 @@ def test_revise_rejects_contradictory_observations():
 
 
 def test_revise_never_enumerates_models(monkeypatch):
-    def no_models(self):
+    def no_models(*args):
         raise AssertionError("revise enumerated models")
 
     monkeypatch.setattr(Theory, "models", no_models)
+    # the engine reads `_models` directly, each module through its own name
+    for module in (universe, revision):
+        monkeypatch.setattr(module, "_models", no_models)
     base = theory_of({0, 1}, unit(0, True), clause((0, False), (1, True)))
     for kind in StrategyKind:
         strategy = RevisionStrategy(kind, 3)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oee.rng import MASK64, SplitMix64, fold, mix, stream
+from oee.rng import MASK64, SplitMix64, fold, folds, mix, stream
 
 
 def test_mix_is_order_sensitive():
@@ -26,6 +26,11 @@ def reference_mix(*values):
 def test_mix_is_a_fold(values, last):
     assert mix(*values) == reference_mix(*values)
     assert fold(mix(*values), last) == mix(*values, last)
+
+
+@given(st.integers(0, MASK64), st.lists(st.integers(-(1 << 70), 1 << 70), max_size=12))
+def test_folds_match_fold_per_value(h, values):
+    assert folds(h, values) == [fold(h, v) for v in values]
 
 
 def test_mix_deterministic():

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oee import universe
 from oee.universe import (
+    MAX_MODELS,
     MAX_PREDICATE_INDEX,
     Clause,
     satisfiable,
@@ -15,8 +17,10 @@ from oee.universe import (
     State,
     Theory,
     UniverseGenerator,
+    _models,
     clause,
     empty_theory,
+    predicate_mask,
     unit,
 )
 from oee.rng import MASK64, mix
@@ -62,7 +66,9 @@ def test_clause_masks():
         Clause(frozenset({(0, True)}), (1, 0))
     with pytest.raises(AttributeError):
         c.masks = (0, 0)
+    assert c.mask == 1 | 1 << 5 | 1 << 60
     assert c == clause((60, True), (0, True), (5, False))
+    assert hash(c) == hash(clause((60, True), (0, True), (5, False))) == hash((c.literals,))
     assert "masks" not in repr(c)
 
 
@@ -139,8 +145,57 @@ def sparse_theories(draw):
 @given(sparse_theories())
 def test_models_match_truth_table(theory):
     models = theory.models()
-    assert list(models) == sweep_models(theory)
+    swept = sweep_models(theory)
+    assert list(models) == swept
+    assert theory.models() is models
+    assert list(_models(theory)) == [predicate_mask(s.true) for s in swept]
     assert satisfiable([c.masks for c in theory.clauses]) == bool(models)
+    assert theory.consistent() == bool(swept)
+
+
+def reference_validation(predicates, clauses) -> bool:
+    """Whether `Theory` accepts the clauses, by the frozenset definition:
+    each clause's predicates inside the theory's, no clause twice."""
+    return all(c.predicates() <= predicates for c in clauses) and \
+        len(set(clauses)) == len(clauses)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.frozensets(st.integers(0, 70), max_size=8),
+       st.lists(st.dictionaries(st.integers(0, 70), st.booleans(), min_size=1, max_size=3)
+                .map(lambda d: Clause(frozenset(d.items()))), max_size=6))
+def test_theory_validation_matches_the_frozenset_check(predicates, clauses):
+    clauses = tuple(clauses)
+    if not reference_validation(predicates, clauses):
+        with pytest.raises(ValueError):
+            Theory(predicates, clauses)
+        return
+    t = Theory(predicates, clauses)
+    assert t.mask == sum(1 << p for p in predicates)
+    units = [next(iter(c.literals)) for c in clauses if len(c.literals) == 1]
+    assert t.units == (sum(1 << p for p, v in units if v), sum(1 << p for p, v in units if not v))
+    # computed once, as the hash of the compared fields
+    assert hash(t) == hash((predicates, clauses))
+
+
+def test_theory_predicates_must_have_mask_bits():
+    for p in (-1, MAX_PREDICATE_INDEX + 1):
+        with pytest.raises(ValueError, match=f"outside 0..{MAX_PREDICATE_INDEX}"):
+            Theory(frozenset({0, p}), ())
+
+
+def test_models_refuse_to_expand_past_the_limit(monkeypatch):
+    assert MAX_MODELS == 1 << 16
+    # one cube of 2**17 models; and cubes of 2**16 and 2**15, past the limit
+    # only together
+    wide = frozenset(range(17))
+    for t in (empty_theory(wide), Theory(wide, (clause((0, True), (1, True)),))):
+        with pytest.raises(ValueError, match="limit of 65,536 models"):
+            t.models()
+    monkeypatch.setattr(universe, "MAX_MODELS", 4)
+    assert len(_models(empty_theory({40, 41}))) == 4
+    with pytest.raises(ValueError, match="limit of 4 models"):
+        _models(empty_theory({40, 41, 42}))
 
 
 def test_solutions_yield_disjoint_cubes():
@@ -175,6 +230,43 @@ def test_config_errors():
         make(k=0)
     with pytest.raises(ConfigError):
         make(arity=1)
+
+
+class FixedDraws:
+    """A stand-in for the generator's stream that returns the given words."""
+
+    def __init__(self, words):
+        self.words = iter(words)
+
+    def next_u64(self):
+        return next(self.words)
+
+
+def reference_kind(weights, u):
+    """The novelty kind of the word u: the first whose cumulative weight
+    exceeds u / 2**64, summed as fractions."""
+    acc = Fraction(0)
+    for w, kind in zip(weights, NoveltyKind):
+        acc += w
+        if Fraction(u, 1 << 64) < acc:
+            return kind
+    return NoveltyKind.EMERGENCE
+
+
+weight_triples = st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12)).filter(
+    any).map(lambda t: tuple(Fraction(w, sum(t)) for w in t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_triples, st.lists(st.integers(0, MASK64), max_size=8), st.integers(-2, 2))
+def test_kind_draw_matches_the_fraction_walk(weights, words, offset):
+    # also the words at each cut and beside it
+    for w in (weights[0], weights[0] + weights[1]):
+        words.append(min(MASK64, max(0, w.numerator * (1 << 64) // w.denominator + offset)))
+    g = make(weights=weights)
+    g._rng = FixedDraws(words)
+    for u in words:
+        assert g._draw_kind() is reference_kind(weights, u)
 
 
 def test_emergence_only_counting():
