@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .formula import Formula, Know, atoms, enumerate_sentences, evaluate, event_mask, \
-    is_propositional
-from .universe import State, Theory
+from .formula import Formula, Know, atoms, enumerate_sentences, event_mask, is_propositional
+from .universe import State, Theory, _models, mask_bits, predicate_mask
 
 
 class DomainError(ValueError):
@@ -109,7 +108,7 @@ def decide(agent: AgentState, f: Formula) -> Truth3:
         raise ValueError("decide is defined for propositional sentences only")
     if not atoms(f) <= agent.predicates:
         return Truth3.NOT_IN_LANGUAGE
-    models = agent.theory.models()
+    models = _models(agent.theory)
     full = (1 << len(models)) - 1
     return truth_of_mask(event_mask(f, models, full, {}), full)
 
@@ -123,11 +122,10 @@ def local_knowledge(agent: AgentState, omega: State, depth: int) -> frozenset[Fo
     """κ(ω): decided-true sentences that hold at ω, wrapped as Know(agent, ·)."""
     if omega.domain != agent.predicates:
         raise DomainError("state domain must equal the agent's predicate set")
-    out = set()
-    for f in enumerate_sentences(agent.predicates, depth):
-        if decide(agent, f) is Truth3.TRUE and evaluate(f, omega.value):
-            out.add(Know(agent.id, f))
-    return frozenset(out)
+    worlds = _models(agent.theory) + (predicate_mask(omega.true),)
+    full, masks = (1 << len(worlds)) - 1, {}
+    return frozenset(Know(agent.id, f) for f in enumerate_sentences(agent.predicates, depth)
+                     if event_mask(f, worlds, full, masks) == full)
 
 
 def information_partition(agent: AgentState) -> Partition:
@@ -152,8 +150,11 @@ def information_partition(agent: AgentState) -> Partition:
 
 
 def adjacent_possible(before: AgentState, after: AgentState) -> frozenset[State]:
-    """𝒜: states admissible now that were not admissible before.  States over
-    different predicate domains are never identified."""
+    """𝒜: states admissible now that were not admissible before: all models of
+    `after` when the predicate sets differ, else those that `before` lacks."""
     if before.id != after.id:
         raise ValueError("adjacent_possible compares one agent across epochs")
-    return contextual_possible(after) - contextual_possible(before)
+    new = _models(after.theory)
+    if before.theory.mask == after.theory.mask:
+        new = set(new).difference(_models(before.theory))
+    return frozenset(State(after.predicates, frozenset(mask_bits(m))) for m in new)

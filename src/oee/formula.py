@@ -1,6 +1,6 @@
 """Formula language: terms, parsing, printing, canonical enumeration, and
-evaluation, per assignment (`evaluate`) or over a list of states at once as a
-bitmask (`event_mask`, the one formula-to-mask evaluator: agents decide
+evaluation, per assignment (`evaluate`) or over a list of true-masks at once
+as a bitmask (`event_mask`, the one formula-to-mask evaluator: agents decide
 sentences and S5 validation checks schemes on its masks).
 
 Grammar (EBNF), whitespace insignificant:
@@ -142,18 +142,18 @@ def evaluate(f: Formula, lookup) -> bool:
 
 
 def event_mask(f: Formula, states, full: int, masks: dict) -> int:
-    """Bitmask of the states where the propositional formula f holds: bit k
-    for `states[k]`, each state answering `value(index) -> bool`; `full` has
-    one bit per state.  `masks` memoises by object identity: enumerated
-    formulas share their subformulas, and the caller keeps every formula
-    alive for the memo's lifetime, so no formula is hashed."""
+    """Bitmask of the assignments where the propositional formula f holds:
+    bit k for the true-mask `states[k]`, whose domain must hold every atom;
+    `full` has one bit per state.  `masks` memoises by object identity:
+    enumerated formulas share their subformulas, and the caller keeps every
+    formula alive for the memo's lifetime, so no formula is hashed."""
     out = masks.get(id(f))
     if out is not None:
         return out
     if isinstance(f, Atom):
         out = 0
         for k, w in enumerate(states):
-            if w.value(f.index):
+            if w >> f.index & 1:
                 out |= 1 << k
     elif isinstance(f, Not):
         out = full & ~event_mask(f.operand, states, full, masks)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .epistemics import AgentState, Truth3, adjacent_possible, agent_state, decide, \
     truth_of_mask
-from .formula import enumerate_sentences, evaluate, render
+from .formula import enumerate_sentences, event_mask, render
 from .revision import RevisionStrategy, StrategyKind, classify_extension, revise
 from .rng import mix
 from .universe import NoveltyKind, State, UniverseGenerator, _models, empty_theory, \
@@ -499,7 +499,7 @@ def compare_strategies(scenario: Scenario, replicate: int = 0):
     ))
     configured = run_full(scenario, replicate)
     baseline = run_full(deductive, replicate)
-    actual = configured.universe.actual
+    here = (predicate_mask(configured.universe.actual.true),)
     revealed = configured.universe.revealed_predicates
     # |S_d| by the recurrence `sentence_types` follows
     count = n = len(revealed)
@@ -508,7 +508,7 @@ def compare_strategies(scenario: Scenario, replicate: int = 0):
         if count > MAX_SENTENCES:
             raise ValueError(f"depth {depth} over {n} predicates enumerates more than "
                              f"the limit of {MAX_SENTENCES:,} sentences")
-    true = [f for f in enumerate_sentences(revealed, depth) if evaluate(f, actual.value)]
+    true = [f for f in enumerate_sentences(revealed, depth) if event_mask(f, here, 1, {})]
     gained: dict[int, list[str]] = {}
     for spec in scenario.agents:
         a = configured.agents[spec.id]

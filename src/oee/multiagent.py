@@ -10,16 +10,16 @@ relation-based debug evaluator as the negative control.
 Agreement, common knowledge and S5 validation work on events as bitmasks over
 the ground, through one mask view per frame (`SharedFrame.masks`), built on
 first use: the ground numbered in `State.sort_key` order (bit k for the k-th
-state), each agent's class masks and the class mask of every state, and, on
-first need, the class mask of every state in the meet, taken from one call to
-`meet`.  Formulas become masks through `formula.event_mask`; S5 validation
-takes its base events from truth tables over the cube of the base predicates,
-evaluated once per (base predicates, depth) and cached, and projects each
-table onto the frame's ground by the base-predicate code of every state.  The
-posterior profile event is the union of the classes C whose popcount ratio
-|E & C| / |C| equals the agent's posterior at the evaluation state, common
-knowledge of E at w is `meet(w) & ~E == 0`, and K_i(E) is the mask of the
-states whose class mask lies inside E.
+state), its true-masks, each agent's class masks, and, on first need, the
+class mask of every state in the meet, taken from one call to `meet`.
+Formulas become masks through `formula.event_mask`; S5 validation takes its
+base events from truth tables over the cube of the base predicates, evaluated
+once per (base predicates, depth) and cached, and projects each table onto
+the frame's ground by the base-predicate code of every state.  The posterior
+profile event is the union of the classes C whose popcount ratio |E & C| /
+|C| equals the agent's posterior at the evaluation state, common knowledge
+of E at w is `meet(w) & ~E == 0`, and K_i(E) is the union of the classes
+(for a relation, of the states) whose successors lie inside E.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import product
 from .epistemics import AgentState, Partition, information_partition, partition_from_classes
 from .formula import Formula, Implies, Know, atoms, event_mask, is_propositional, \
     render
-from .universe import State
+from .universe import State, predicate_mask
 
 
 class GroundMismatch(ValueError):
@@ -86,35 +86,28 @@ def meet(partitions) -> Partition:
 
 class FrameMasks:
     """The mask view of a shared frame: `states` is the ground in
-    `State.sort_key` order and `index` maps each state to its bit; for each
-    agent, `classes` lists its class masks and `class_at` holds the class
-    mask of every state, by bit.  `meet_at` gives the meet's class mask of
-    every state, computed by `meet` on first call."""
+    `State.sort_key` order, `index` maps each state to its bit and `trues`
+    to its true-mask, by bit; `classes` lists each agent's class masks.
+    `meet_at` gives the meet's class mask of every state, computed by `meet`
+    on first call."""
 
-    __slots__ = ("states", "index", "full", "classes", "class_at", "_partitions", "_meet_at")
+    __slots__ = ("states", "index", "full", "trues", "domain", "classes", "_partitions", "_meet_at")
 
     def __init__(self, ground: frozenset[State], partitions: dict[int, Partition]):
         self.states = sorted(ground, key=State.sort_key)
         self.index = {w: k for k, w in enumerate(self.states)}
         self.full = (1 << len(self.states)) - 1
+        self.trues = [sum(1 << p for p in w.true) for w in self.states]
+        self.domain = -1  # bit p when every ground state assigns predicate p
+        for d in {w.domain for w in self.states}:
+            self.domain &= predicate_mask(d)
         self.classes = {}
-        self.class_at = {}
         for i, p in partitions.items():
             if p.ground != ground:
                 raise GroundMismatch("partition ground differs from the frame ground")
-            self.classes[i], self.class_at[i] = self._class_masks(p.classes)
+            self.classes[i] = tuple(self.mask(cls) for cls in p.classes)
         self._partitions = partitions
         self._meet_at = None
-
-    def _class_masks(self, classes):
-        masks = []
-        at = [0] * len(self.states)
-        for cls in classes:
-            m = self.mask(cls)
-            masks.append(m)
-            for w in cls:
-                at[self.index[w]] = m
-        return tuple(masks), at
 
     def mask(self, states) -> int:
         """The mask of a set of ground states (KeyError for any other)."""
@@ -129,14 +122,22 @@ class FrameMasks:
 
     def formula_mask(self, f: Formula) -> int:
         """The mask of the ground states where the propositional formula f
-        holds; ValueError for a formula with a knowledge operator."""
+        holds; ValueError for a formula with a knowledge operator, KeyError
+        naming the least atom that some ground state does not assign."""
         if not is_propositional(f):
             raise ValueError("event formulas must be propositional")
-        return event_mask(f, self.states, self.full, {})
+        outside = predicate_mask(atoms(f)) & ~self.domain
+        if outside:
+            raise KeyError((outside & -outside).bit_length() - 1)
+        return event_mask(f, self.trues, self.full, {})
 
     def meet_at(self) -> list[int]:
         if self._meet_at is None:
-            self._meet_at = self._class_masks(meet(self._partitions.values()).classes)[1]
+            self._meet_at = [0] * len(self.states)
+            for cls in meet(self._partitions.values()).classes:
+                m = self.mask(cls)
+                for w in cls:
+                    self._meet_at[self.index[w]] = m
         return self._meet_at
 
 
@@ -321,20 +322,20 @@ class SchemeReport:
     counterexample: tuple[str, State] | None = None
 
 
-def _knowledge_mask(succ: list[int], event: int) -> int:
-    """K(E) = {w : succ(w) <= E}: bit k set when succ[k] lies inside event."""
+def _knowledge_mask(pairs, event: int) -> int:
+    """K(E) = {w : succ(w) <= E}: the sources whose successors lie inside E."""
     out = 0
-    for k, s in enumerate(succ):
-        if not s & ~event:
-            out |= 1 << k
+    for sources, successors in pairs:
+        if not successors & ~event:
+            out |= sources
     return out
 
 
-def _validate_schemes(states, succ, agents, events) -> list[SchemeReport]:
+def _validate_schemes(states, pairs, agents, events) -> list[SchemeReport]:
     """Every scheme instance over the distinct base events, given as (event
     mask, first witness formula) pairs, the ground in `State.sort_key` order
-    and, per agent, the successor mask of every state (bit k for
-    `states[k]`), so that the lowest failing bit is the minimum
+    and, per agent, the (sources, successors) pairs of `_knowledge_mask` (bit
+    k for `states[k]`), so that the lowest failing bit is the minimum
     counterexample state."""
     full = (1 << len(states)) - 1
     known: dict = {i: {} for i in agents}
@@ -343,7 +344,7 @@ def _validate_schemes(states, succ, agents, events) -> list[SchemeReport]:
         memo = known[i]
         out = memo.get(event)
         if out is None:
-            out = memo[event] = _knowledge_mask(succ[i], event)
+            out = memo[event] = _knowledge_mask(pairs[i], event)
         return out
 
     reports = []
@@ -402,30 +403,29 @@ def _cube_tables(predicates: tuple[int, ...], depth: int) -> tuple[tuple[int, Fo
     An empty predicate set or a negative depth raises ValueError."""
     from .formula import enumerate_sentences
 
-    domain = frozenset(predicates)
     cube = [
-        State(domain, frozenset(p for j, p in enumerate(predicates) if c >> j & 1))
+        sum(1 << p for j, p in enumerate(predicates) if c >> j & 1)
         for c in range(1 << len(predicates))
     ]
     full = (1 << len(cube)) - 1
     masks: dict = {}
     witnesses: dict = {}
-    for f in enumerate_sentences(domain, depth):
+    for f in enumerate_sentences(predicates, depth):
         witnesses.setdefault(event_mask(f, cube, full, masks), f)
     return tuple(witnesses.items())
 
 
-def _base_events(states, predicates, depth: int) -> list[tuple[int, Formula]]:
+def _base_events(trues, predicates, depth: int) -> list[tuple[int, Formula]]:
     """The distinct events of the base formulas over the first two of the
-    predicates on the ground `states` (bit k for `states[k]`), each with its
-    first witness formula, in enumeration order.  Every scheme is
-    extensional, so these events stand for all the base formulas."""
+    predicates on the ground of true-masks `trues` (bit k for `trues[k]`),
+    each with its first witness formula, in enumeration order.  Every scheme
+    is extensional, so these events stand for all the base formulas."""
     preds = tuple(sorted(predicates)[:2])
     tables = _cube_tables(preds, depth)
-    # the ground mask of each cube code: bit k set when states[k] has that code
+    # the ground mask of each cube code: bit k set when state k has that code
     at_code = [0] * (1 << len(preds))
-    for k, w in enumerate(states):
-        at_code[sum(1 << j for j, p in enumerate(preds) if w.value(p))] |= 1 << k
+    for k, t in enumerate(trues):
+        at_code[sum((t >> p & 1) << j for j, p in enumerate(preds))] |= 1 << k
     witnesses: dict = {}
     for table, f in tables:
         event = 0
@@ -453,8 +453,9 @@ def validate_s5(frame: SharedFrame, depth: int) -> list[SchemeReport]:
     if not frame.closed:
         raise NotClosedMode("agents must share one predicate set")
     view = frame.masks()
-    events = _base_events(view.states, frame.shared_predicates, depth)
-    return _validate_schemes(view.states, view.class_at, frame.agents, events)
+    events = _base_events(view.trues, frame.shared_predicates, depth)
+    pairs = {i: [(c, c) for c in view.classes[i]] for i in frame.agents}
+    return _validate_schemes(view.states, pairs, frame.agents, events)
 
 
 def validate_relation(ground, relation: dict, agents, predicates, depth: int):
@@ -466,7 +467,8 @@ def validate_relation(ground, relation: dict, agents, predicates, depth: int):
     GroundMismatch naming the state or the predicate."""
     ground = frozenset(ground)
     predicates = frozenset(predicates)
-    for w in sorted(ground, key=State.sort_key):
+    states = sorted(ground, key=State.sort_key)
+    for w in states:
         if w not in relation:
             raise GroundMismatch(f"relation gives no successors for ground state {w.bits()}")
         if not predicates <= w.domain:
@@ -483,8 +485,7 @@ def validate_relation(ground, relation: dict, agents, predicates, depth: int):
                     f"relation points from {w.bits()} to {v.bits()}, "
                     "which is outside the ground"
                 )
-    states = sorted(ground, key=State.sort_key)
     index = {w: k for k, w in enumerate(states)}
-    successors = [sum(1 << index[v] for v in set(relation[w])) for w in states]
-    events = _base_events(states, predicates, depth)
-    return _validate_schemes(states, {i: successors for i in agents}, tuple(agents), events)
+    pairs = [(1 << k, sum(1 << index[v] for v in set(relation[w]))) for k, w in enumerate(states)]
+    events = _base_events([sum(1 << p for p in w.true) for w in states], predicates, depth)
+    return _validate_schemes(states, {i: pairs for i in agents}, tuple(agents), events)

@@ -13,9 +13,9 @@ a consistency verdict decided once per object.  One procedure decides clause
 sets: `solutions`, unit propagation and a split, which yields disjoint cubes
 of satisfying assignments.  `satisfiable` asks it for one cube, and `_models`
 expands every cube over the predicates it leaves free into true-masks, which
-the engine reads directly; `Theory.models` builds `State`s from them, once
-per theory, only for callers that want states.  Nature draws a tick's novelty kind by integer cuts
-and an agent's observations of a tick in one batch of `rng.folds`.
+the engine reads directly; `Theory.models` builds `State`s from them on each
+call, for callers that want states.  Nature draws a tick's novelty kind by
+integer cuts and an agent's observations of a tick in one batch of `rng.folds`.
 """
 
 from __future__ import annotations
@@ -163,7 +163,6 @@ class Theory:
     units: tuple[int, int] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
     _consistent: bool | None = field(default=None, init=False, repr=False, compare=False)
-    _states: tuple[State, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mask = predicate_mask(self.predicates)
@@ -196,12 +195,8 @@ class Theory:
         return Theory(self.predicates | c.predicates(), self.clauses + (c,))
 
     def models(self) -> tuple[State, ...]:
-        """The models of `_models` as states over the theory's predicates,
-        built at most once."""
-        if self._states is None:
-            object.__setattr__(self, "_states", tuple(
-                State(self.predicates, frozenset(mask_bits(m))) for m in _models(self)))
-        return self._states
+        """The models of `_models` as states over the theory's predicates."""
+        return tuple(State(self.predicates, frozenset(mask_bits(m))) for m in _models(self))
 
     def canonical_text(self) -> str:
         return canonical_texts(self.predicates, self.clauses)(())
@@ -404,7 +399,8 @@ class UniverseGenerator:
         return Theory(self.revealed_predicates, tuple(self._clauses))
 
     def satisfies_revealed(self) -> bool:
-        return all(c.satisfied_by(self._actual) for c in self._clauses)
+        true = predicate_mask(self._actual.true)
+        return all(c.masks[0] & true or c.masks[1] & ~true for c in self._clauses)
 
     def _draw_kind(self) -> NoveltyKind:
         u = self._rng.next_u64()
@@ -447,10 +443,11 @@ class UniverseGenerator:
             chosen.append(pool.pop(self._rng.randrange(len(pool))))
         literals = [(p, bool(self._rng.next_u64() & 1)) for p in sorted(chosen)]
         candidate = Clause(frozenset(literals))
-        if not candidate.satisfied_by(self._actual):
+        true = predicate_mask(self._actual.true)
+        if not (candidate.masks[0] & true or candidate.masks[1] & ~true):
             # force one literal to agree with the actual state
             p, _ = literals[self._rng.randrange(len(literals))]
-            literals = [(q, self._actual.value(q) if q == p else pol) for q, pol in literals]
+            literals = [(q, true >> q & 1 == 1 if q == p else pol) for q, pol in literals]
             candidate = Clause(frozenset(literals))
         if candidate not in self._clauses:
             self._clauses.append(candidate)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from oee import multiagent
 from oee.epistemics import agent_state, partition_from_classes
-from oee.formula import Atom, Know, atoms, enumerate_sentences, evaluate, is_propositional
+from oee.formula import Atom, Know, atoms, enumerate_sentences, evaluate, is_propositional, \
+    parse
 from oee.multiagent import (
     AgreementReport,
     FailsAt,
@@ -180,6 +181,22 @@ def test_non_propositional_event_is_rejected():
         common_knowledge(frame, Know(1, Atom(0)), at)
     with pytest.raises(ValueError, match="propositional"):
         frame.masks().formula_mask(Know(1, Atom(0)))
+
+
+def test_formula_mask_names_an_atom_outside_the_ground_domain():
+    """A true-mask reads a predicate it does not assign as false, so the view
+    raises KeyError naming the least such atom, as `State.value` does."""
+    view = two_agent_frame().masks()
+    with pytest.raises(KeyError) as info:
+        view.formula_mask(parse("p0 & (p7 | p5)"))
+    assert info.value.args == (5,)
+    # a predicate that only some ground states assign
+    ground = [State(frozenset({0, 1}), frozenset({1})), State(frozenset({0}), frozenset())]
+    frame = frame_from_partitions({0}, ground, {1: partition_from_classes(ground, [ground])})
+    with pytest.raises(KeyError) as info:
+        frame.masks().formula_mask(Atom(1))
+    assert info.value.args == (1,)
+    assert frame.masks().formula_mask(Atom(0)) == 0
 
 
 # --- ground checks -----------------------------------------------------------

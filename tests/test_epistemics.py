@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oee.epistemics import (
     DomainError,
@@ -14,7 +14,7 @@ from oee.epistemics import (
     local_knowledge,
     partition_from_classes,
 )
-from oee.formula import Atom, Know, Not, enumerate_sentences, parse
+from oee.formula import Atom, Know, Not, enumerate_sentences, evaluate, parse
 from oee.universe import State, Theory, clause, empty_theory, unit
 
 
@@ -28,6 +28,22 @@ def agent(theory, observations=(), agent_id=1):
 
 def state(predicates, true):
     return State(frozenset(predicates), frozenset(true))
+
+
+@st.composite
+def theories(draw, preds):
+    """A theory over `preds` of random clauses, without models in about one
+    draw in four."""
+    preds = sorted(preds)
+    clauses = []
+    if preds:
+        literal = st.tuples(st.sampled_from(preds), st.booleans())
+        for lits in draw(st.lists(st.lists(literal, min_size=1, max_size=2), max_size=3)):
+            clauses.append(clause(*dict(lits).items()))  # one polarity per predicate
+        if draw(st.integers(0, 3)) == 0:
+            p = draw(st.sampled_from(preds))
+            clauses += [unit(p, True), unit(p, False)]
+    return Theory(frozenset(preds), tuple(dict.fromkeys(clauses)))
 
 
 # --- decide ------------------------------------------------------------------
@@ -106,6 +122,23 @@ def test_local_knowledge_domain_error():
     a = agent(theory_of({0, 1}, unit(0, True)))
     with pytest.raises(DomainError):
         local_knowledge(a, state({0}, {0}), 0)
+
+
+def reference_local_knowledge(agent_, omega, depth):
+    """κ(ω) as first defined: the sentences decided TRUE that hold at ω."""
+    return frozenset(
+        Know(agent_.id, f) for f in enumerate_sentences(agent_.predicates, depth)
+        if decide(agent_, f) is Truth3.TRUE and evaluate(f, omega.value))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    theories(range(n)), st.frozensets(st.integers(0, n - 1)), st.integers(0, 2 if n < 3 else 1))))
+def test_local_knowledge_matches_reference(case):
+    theory, true, depth = case
+    a = agent(theory)
+    omega = state(theory.predicates, true)
+    assert local_knowledge(a, omega, depth) == reference_local_knowledge(a, omega, depth)
 
 
 def test_local_knowledge_coherent():
@@ -272,6 +305,33 @@ def test_adjacent_possible_domain_growth():
 def test_adjacent_possible_no_revision():
     a = agent(theory_of({0}, unit(0, True)))
     assert adjacent_possible(a, a) == frozenset()
+
+
+def reference_adjacent_possible(before, after):
+    """𝒜 as first defined: the set difference of the contextual possibles."""
+    return contextual_possible(after) - contextual_possible(before)
+
+
+@st.composite
+def revisions(draw):
+    """Two theories of one agent, over one predicate set or over two."""
+    before = draw(st.frozensets(st.integers(0, 3)))
+    after = before if draw(st.booleans()) else draw(st.frozensets(st.integers(0, 3)))
+    return agent(draw(theories(before))), agent(draw(theories(after)))
+
+
+INCONSISTENT = theory_of({0, 1}, unit(0, True), unit(0, False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(revisions())
+@example((agent(INCONSISTENT), agent(theory_of({0, 1}, unit(1, True)))))
+@example((agent(theory_of({0, 1}, unit(1, True))), agent(INCONSISTENT)))
+@example((agent(INCONSISTENT), agent(theory_of({0, 1, 2}, unit(2, False), unit(2, True)))))
+@example((agent(theory_of({0}, unit(0, True))), agent(theory_of({0, 1}, unit(0, True)))))
+def test_adjacent_possible_matches_set_difference(case):
+    before, after = case
+    assert adjacent_possible(before, after) == reference_adjacent_possible(before, after)
 
 
 def test_adjacent_possible_different_agent_rejected():

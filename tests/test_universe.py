@@ -147,7 +147,6 @@ def test_models_match_truth_table(theory):
     models = theory.models()
     swept = sweep_models(theory)
     assert list(models) == swept
-    assert theory.models() is models
     assert list(_models(theory)) == [predicate_mask(s.true) for s in swept]
     assert satisfiable([c.masks for c in theory.clauses]) == bool(models)
     assert theory.consistent() == bool(swept)
