@@ -316,18 +316,39 @@ def parse(text: str) -> Formula:
     return f
 
 
+# compare_strategies took 11.8 s on the 307,530 sentences of depth 2 over 10
+# predicates; |S_3| over 2 predicates is 1,854,176
+MAX_SENTENCES = 1_000_000
+
+
+def sentence_count(n: int, depth: int, limit: int) -> int:
+    """|S_depth| over n predicates by the recurrence S_d = n + |S_{d-1}| +
+    3 |S_{d-1}|^2, or the first level's count past `limit`, so that the
+    integers stay small."""
+    count = n
+    for _ in range(depth):
+        if count > limit:
+            break
+        count = n + count + 3 * count * count
+    return count
+
+
 def enumerate_sentences(predicates, max_depth: int) -> list[Formula]:
     """All propositional formulas over `predicates` with nesting depth <= max_depth,
     built by the recurrence S_d = S_0 + Not(S_{d-1}) + {And, Or, Implies}(S_{d-1}^2).
 
     Deterministic order: (depth, rendered length, rendered text).  The list for
-    depth d is a prefix of the list for depth d+1.
+    depth d is a prefix of the list for depth d+1.  More than MAX_SENTENCES
+    formulas raise ValueError before any is built.
     """
     preds = frozenset(predicates)
     if not preds:
         raise ValueError("predicate set must be nonempty")
     if max_depth < 0:
         raise ValueError("depth must be >= 0")
+    if sentence_count(len(preds), max_depth, MAX_SENTENCES) > MAX_SENTENCES:
+        raise ValueError(f"depth {max_depth} over {len(preds)} predicates enumerates more "
+                         f"than the limit of {MAX_SENTENCES:,} sentences")
     level = base = [Atom(p) for p in sorted(preds)]
     for _ in range(max_depth):
         level = base + [Not(f) for f in level] + [

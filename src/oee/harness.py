@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .epistemics import AgentState, Truth3, adjacent_possible, agent_state, decide, \
     truth_of_mask
-from .formula import enumerate_sentences, event_mask, render
+from .formula import MAX_SENTENCES, enumerate_sentences, event_mask, render, sentence_count
 from .revision import RevisionStrategy, StrategyKind, classify_extension, revise
 from .rng import mix
 from .universe import NoveltyKind, State, UniverseGenerator, _models, empty_theory, \
@@ -72,8 +72,6 @@ _DEFAULT_VISIBILITY = Fraction(3, 5)
 MAX_DEPTH = 8
 # a one-tick run took 0.29 s at 20,000 initial predicates, 0.62 s at 40,000
 MAX_INITIAL_PREDICATES = 20_000
-# compare_strategies took 11.8 s on the 307,530 sentences of depth 2 over 10 predicates
-MAX_SENTENCES = 1_000_000
 
 
 def _fraction(value, path: str) -> Fraction:
@@ -501,13 +499,10 @@ def compare_strategies(scenario: Scenario, replicate: int = 0):
     baseline = run_full(deductive, replicate)
     here = (predicate_mask(configured.universe.actual.true),)
     revealed = configured.universe.revealed_predicates
-    # |S_d| by the recurrence `sentence_types` follows
-    count = n = len(revealed)
-    for _ in range(depth):
-        count = n + count + 3 * count * count
-        if count > MAX_SENTENCES:
-            raise ValueError(f"depth {depth} over {n} predicates enumerates more than "
-                             f"the limit of {MAX_SENTENCES:,} sentences")
+    n = len(revealed)
+    if sentence_count(n, depth, MAX_SENTENCES) > MAX_SENTENCES:
+        raise ValueError(f"depth {depth} over {n} predicates enumerates more than "
+                         f"the limit of {MAX_SENTENCES:,} sentences")
     true = [f for f in enumerate_sentences(revealed, depth) if event_mask(f, here, 1, {})]
     gained: dict[int, list[str]] = {}
     for spec in scenario.agents:

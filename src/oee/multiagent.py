@@ -267,14 +267,20 @@ def common_knowledge(frame: SharedFrame, event_formula: Formula, at: State):
     return FailsAt(view.states_of(outside))
 
 
+@lru_cache(maxsize=256)
+def _ratio(n: int, d: int) -> Fraction:
+    return Fraction(n, d)
+
+
 def posterior(p: Partition, event, at) -> Fraction:
     """Uniform-prior posterior of the event given the information class of
-    `at` — exact rational."""
+    `at` — exact rational.  Posteriors are interned: equal counts |E & C|
+    and |C| return one shared `Fraction`."""
     event = frozenset(event)
     if not event <= p.ground:
         raise GroundMismatch("event must be a subset of the partition ground")
     cls = p.class_of(at)
-    return Fraction(len(event & cls), len(cls))
+    return _ratio(len(event & cls), len(cls))
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,7 +296,8 @@ def agreement_check(frame: SharedFrame, event, at: State) -> AgreementReport:
     and whether the posteriors agree.  Each agent's posterior at `at` comes
     from `posterior`, once per agent; on the frame's mask view, the profile
     event is the union of the classes C whose counts |E & C| / |C|
-    cross-multiply to that value."""
+    cross-multiply to that value, and the posteriors agree when their
+    lowest-terms (numerator, denominator) pairs are all one pair."""
     view = frame.masks()
     try:
         k = view.index[at]
@@ -298,18 +305,19 @@ def agreement_check(frame: SharedFrame, event, at: State) -> AgreementReport:
     except KeyError:
         raise GroundMismatch("event and state must lie in the frame ground") from None
     posteriors = {}
+    values = set()
     profile = view.full
     for i in frame.agents:
         value = posteriors[i] = posterior(frame.partition_of(i), event, at)
         n, d = value.numerator, value.denominator
+        values.add((n, d))
         same = 0
         for cls in view.classes[i]:
             if (e & cls).bit_count() * d == n * cls.bit_count():
                 same |= cls
         profile &= same
     ck = not view.meet_at()[k] & ~profile
-    agree = len(set(posteriors.values())) == 1
-    return AgreementReport(posteriors, ck, agree)
+    return AgreementReport(posteriors, ck, len(values) == 1)
 
 
 # --- S5 validation -----------------------------------------------------------

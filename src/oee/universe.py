@@ -38,14 +38,20 @@ class NicheError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class State:
-    """Total truth assignment over a finite predicate set."""
+    """Total truth assignment over a finite predicate set; the hash,
+    `hash((domain, true))`, is computed once."""
 
     domain: frozenset[int]
     true: frozenset[int]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.true <= self.domain:
             raise ValueError("true set must be contained in the domain")
+        object.__setattr__(self, "_hash", hash((self.domain, self.true)))
+
+    def __hash__(self):
+        return self._hash
 
     def value(self, predicate: int) -> bool:
         if predicate not in self.domain:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oee import formula
 from oee.formula import (
     MAX_FORMULA_DEPTH,
     And,
@@ -18,6 +19,7 @@ from oee.formula import (
     is_propositional,
     parse,
     render,
+    sentence_count,
 )
 
 
@@ -190,6 +192,25 @@ def test_enumerate_length_follows_the_recurrence():
         for d in range(3):
             assert len(enumerate_sentences(range(n), d)) == count
             count = n + count + 3 * count * count
+
+
+def test_enumerate_refuses_more_sentences_than_the_limit(monkeypatch):
+    """The limit compares |S_d| from the recurrence, which equals the
+    enumeration's length, before any formula is built."""
+    for n in range(1, 5):
+        for d in range(3):
+            count = len(enumerate_sentences(range(n), d))
+            assert sentence_count(n, d, count) == count
+    count = len(enumerate_sentences({0, 1}, 2))
+    monkeypatch.setattr(formula, "MAX_SENTENCES", count)
+    assert len(enumerate_sentences({0, 1}, 2)) == count
+    monkeypatch.setattr(formula, "MAX_SENTENCES", count - 1)
+    monkeypatch.setattr(formula, "Atom", None)  # building any formula fails
+    with pytest.raises(ValueError, match=f"depth 2 over 2 predicates .* limit of {count - 1:,} "):
+        enumerate_sentences({0, 1}, 2)
+    # the count stops at the first level past the limit, so a deep request fails fast
+    with pytest.raises(ValueError, match="depth 1000000 over 1 predicates"):
+        enumerate_sentences({0}, 10**6)
 
 
 def test_enumerate_hashes_no_formula(monkeypatch):

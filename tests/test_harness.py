@@ -513,7 +513,7 @@ def test_compare_strategies_limit_counts_the_sentences(monkeypatch):
         compare_strategies(s, 0)
     monkeypatch.undo()
     monkeypatch.setattr(harness, "enumerate_sentences", no_sentences)
-    # |S_3| over 2 predicates is 1,854,120
+    # |S_3| over 2 predicates is 1,854,176
     deeper = replace(s, run=replace(s.run, depth=3))
     with pytest.raises(ValueError, match="depth 3 over 2 predicates .* limit of 1,000,000"):
         compare_strategies(deeper, 0)

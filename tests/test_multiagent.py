@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -245,6 +246,47 @@ def test_posterior_example():
     assert posterior(p, {3}, 1) == 0
 
 
+@st.composite
+def partitioned_queries(draw):
+    """A random partition of a ground of 1-8 ints, or of the states of a
+    3-predicate cube, an event and an evaluation element."""
+    if draw(st.booleans()):
+        ground = sorted(draw(st.sets(st.integers(-5, 40), min_size=1, max_size=8)))
+    else:
+        cube = sorted(full_cube({0, 1, 2}), key=State.sort_key)
+        ground = draw(st.lists(st.sampled_from(cube), min_size=1, max_size=8, unique=True))
+    labels = {}
+    for w in ground:
+        labels.setdefault(draw(st.integers(0, len(ground) - 1)), set()).add(w)
+    p = partition_from_classes(ground, labels.values())
+    event = frozenset(draw(st.sets(st.sampled_from(ground))))
+    return p, event, draw(st.sampled_from(ground))
+
+
+@given(partitioned_queries())
+def test_posterior_is_the_interned_class_ratio(query):
+    p, event, at = query
+    cls = next(c for c in p.classes if at in c)
+    value = posterior(p, event, at)
+    assert type(value) is Fraction
+    assert value == Fraction(len(event & cls), len(cls))
+    # equal counts share one Fraction
+    assert posterior(p, set(event), at) is value
+
+
+def test_agreement_reads_every_agent():
+    ground = states_of(["00", "01", "10", "11"])
+    coarse = partition_from_classes(ground, [ground])
+    discrete = partition_from_classes(ground, [{s} for s in ground])
+    at = next(iter(states_of(["11"])))
+    event = states_of(["11", "00"])
+    for partitions in ({1: coarse, 2: discrete}, {1: discrete, 2: coarse},
+                       {1: discrete, 2: discrete, 3: coarse}):
+        report = agreement_check(frame_from_partitions({0, 1}, ground, partitions), event, at)
+        assert set(report.posteriors.values()) == {Fraction(1, 2), 1}
+        assert not report.agree
+
+
 def test_posterior_ground_mismatch():
     p = ints_partition({1, 2}, [{1, 2}])
     with pytest.raises(GroundMismatch):
@@ -347,6 +389,17 @@ def test_full_cube_limit(monkeypatch):
     monkeypatch.setattr(multiagent, "State", no_states)
     with pytest.raises(ValueError, match=f"limit of {MAX_CUBE_PREDICATES} predicates"):
         full_cube(range(MAX_CUBE_PREDICATES + 1))
+
+
+def test_validate_s5_refuses_more_sentences_than_the_limit():
+    """|S_3| over the two base predicates is 1,854,176: the limit fires before
+    any sentence is built."""
+    ground = states_of(["00", "11"])
+    frame = frame_from_partitions({0, 1}, ground, {1: partition_from_classes(ground, [ground])})
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="depth 3 over 2 predicates .* limit of 1,000,000"):
+        validate_s5(frame, 3)
+    assert time.perf_counter() - started < 1
 
 
 def test_s5_random_partition_frames():

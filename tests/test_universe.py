@@ -40,6 +40,25 @@ def test_state_invariant():
         s.value(5)
 
 
+@given(st.data())
+def test_state_hash_is_the_hash_of_its_fields(data):
+    """The hash computed once equals `hash((domain, true))`, the dataclass
+    hash it replaces, so every set order is unchanged; equal states built
+    from distinct frozensets hash equal, and the field stays out of repr."""
+    domain = data.draw(st.frozensets(st.integers(0, 200), max_size=6))
+    true = data.draw(st.frozensets(st.sampled_from(sorted(domain)), max_size=6)
+                     if domain else st.just(frozenset()))
+    s = State(domain, true)
+    assert hash(s) == hash((domain, true))
+    twin = State(frozenset(sorted(domain, reverse=True)), frozenset(list(true)))
+    assert twin == s and hash(twin) == hash(s)
+    assert repr(s) == f"State(domain={domain!r}, true={true!r})"
+    other = data.draw(st.sampled_from(sorted(domain))) if domain else None
+    if other is not None:
+        flipped = State(domain, true ^ {other})
+        assert flipped != s and hash(flipped) == hash((domain, true ^ {other}))
+
+
 def test_state_restrict_and_update():
     s = State(frozenset({0, 1, 2}), frozenset({0, 2}))
     assert s.restrict(frozenset({0, 1})).bits() == "10"
