@@ -72,6 +72,11 @@ _DEFAULT_VISIBILITY = Fraction(3, 5)
 MAX_DEPTH = 8
 # a one-tick run took 0.29 s at 20,000 initial predicates, 0.62 s at 40,000
 MAX_INITIAL_PREDICATES = 20_000
+# The most type pairs one depth step of `sentence_types` combines, typed² × 3
+# for its three binary operators.  No-clause theories at depth 2 reach 463,347
+# over 14 free predicates (1.2 s, 427 MiB), 610,203 over 15 (3.3 s, 1.1 GiB)
+# and 789,507 over 16; runs of the fixtures and workloads reach at most 75.
+MAX_SENTENCE_TYPES = 600_000
 
 
 def _fraction(value, path: str) -> Fraction:
@@ -254,7 +259,8 @@ def sentence_types(agent: AgentState, revealed: frozenset[int], actual: State, d
     The counts follow the enumeration, S_d = S_0 + Not(S_{d-1}) + {And, Or,
     Implies}(S_{d-1}^2), whose parts are disjoint by construction; a
     compound's type is its operator applied to its operands' masks and
-    values."""
+    values.  A depth step that would combine more than MAX_SENTENCE_TYPES
+    type pairs raises ValueError before it starts."""
     if not revealed or depth < 0:
         raise ValueError("coverage needs a nonempty revealed set and a depth >= 0")
     models = _models(agent.theory)
@@ -288,6 +294,12 @@ def sentence_types(agent: AgentState, revealed: frozenset[int], actual: State, d
         grown = dict(base)
         get = grown.get
         typed = [(t, n) for t, n in counts.items() if t is not None]
+        if 3 * len(typed) ** 2 > MAX_SENTENCE_TYPES:
+            raise ValueError(
+                f"a depth step over {len(typed):,} sentence types would combine "
+                f"{3 * len(typed) ** 2:,} type pairs, past the limit of "
+                f"{MAX_SENTENCE_TYPES:,} (harness.MAX_SENTENCE_TYPES)"
+            )
         for (a, x), n in typed:
             key = full & ~a, not x
             grown[key] = get(key, 0) + n

@@ -14,14 +14,16 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
+from math import comb
 
 from .epistemics import AgentState
-from .rng import mix
+from .rng import fold, mix
 from .universe import (
     Theory,
     _models,
     canonical_texts,
     clause,
+    extended_texts,
     literal_masks,
     residues,
     satisfiable,
@@ -101,45 +103,73 @@ def symmetry_score(theory: Theory) -> int:
     return count
 
 
-def _strategy_key(strategy: RevisionStrategy, predicates, clauses, dropped, tie, text=None):
-    """Sort key of `strategy` over candidates: the strategy's score (lower
-    ranks first), then `tie(c)`, which tells any two candidates apart.
+def _strategy_key(strategy: RevisionStrategy, predicates, base, dropped=None, text=None):
+    """The score of `strategy` for each candidate, lower first.  Candidates
+    rank by score, then by a tie that tells any two apart and that `_ranked`
+    computes only among equal scores: a repair's retraction age, a bridge's
+    canonical text.
 
-    A candidate `c` is the theory over `predicates` that keeps every clause
-    of `clauses` whose index is not in `dropped(c)`.  Each strategy derives
-    from that the one view of it that it needs: random hashes its canonical
-    text `text(c)`, built here from `clauses` unless the caller has it, and is
-    the only strategy that builds texts; heuristic prefers fewer
-    literals; aesthetic prefers a higher symmetry score of the kept clause
-    set.  Deductive ranks repairs only, with `tie(c)` the retraction age: by
-    the number of clauses retracted, then by age."""
+    A candidate `c` is described by its delta against the theory over
+    `predicates` with the clause list `base`: a repair drops the clauses
+    indexed in `dropped(c)`; without `dropped`, `c` is a bridge, the one
+    clause it adds.  Each strategy scores the delta through the one view it
+    needs: random hashes the candidate's canonical text `text(c)`, built here
+    from one rendering of `base` unless the caller has it, and is the only
+    strategy that builds texts; heuristic prefers fewer literals, counted over
+    the delta alone since the base is common; aesthetic prefers a higher
+    symmetry score of the candidate's clause set.  Deductive ranks repairs
+    only, each `c` its retraction set: by the number of clauses retracted."""
     kind = strategy.kind
+    if kind is StrategyKind.DEDUCTIVE:
+        return len
     if kind is StrategyKind.RANDOM:
         if text is None:
-            texts = canonical_texts(predicates, clauses)
+            texts = canonical_texts(predicates, base)
             text = lambda c: texts(dropped(c))
-        return lambda c: (mix(strategy.seed, int(text_digest(text(c)), 16)), tie(c))
+        seed = mix(strategy.seed)  # fold(mix(seed), h) == mix(seed, h)
+        return lambda c: fold(seed, int(text_digest(text(c)), 16))
     if kind is StrategyKind.HEURISTIC:
-        sizes = [len(c.literals) for c in clauses]
-        total = sum(sizes)
-        return lambda c: (total - sum(sizes[i] for i in dropped(c)), tie(c))
-    if kind is StrategyKind.AESTHETIC:
-        def aesthetic(c):
-            out = dropped(c)
-            kept = tuple(k for i, k in enumerate(clauses) if i not in out)
-            return -symmetry_score(Theory(predicates, kept)), tie(c)
-        return aesthetic
+        if dropped is None:
+            return lambda c: len(c.literals)
+        sizes = [len(c.literals) for c in base]
+        return lambda c: -sum(sizes[i] for i in dropped(c))
+    if dropped is None:
+        return lambda c: -symmetry_score(Theory(predicates, base + (c,)))
 
-    def deductive(c):
-        age = tie(c)
-        return len(age), age
+    def aesthetic(c):
+        out = dropped(c)
+        kept = tuple(k for i, k in enumerate(base) if i not in out)
+        return -symmetry_score(Theory(predicates, kept))
 
-    return deductive
+    return aesthetic
+
+
+def _ranked(candidates, score, tie):
+    """The candidates in increasing (score, tie) order, lazily: every score is
+    computed first, and `tie` only inside a run of equal scores, when the
+    ranking reaches it."""
+    runs = defaultdict(list)
+    for c in candidates:
+        runs[score(c)].append(c)
+    for s in sorted(runs):
+        run = runs[s]
+        if len(run) > 1:
+            run.sort(key=tie)
+        yield from run
 
 
 REPAIR_BREADTH = 128
 """The number of consistent retraction sets at which a repair search stops
 taking further size levels, whatever the budget."""
+
+MAX_REPAIR_CHECKS = 1_000_000
+"""The most retraction sets one repair search walks: a size level that would
+take the count past it is refused before it starts.  The tests, the fixtures
+and the benchmark workloads walk at most 1,093."""
+
+
+class RepairLimit(ValueError):
+    """A repair search would walk more than MAX_REPAIR_CHECKS retraction sets."""
 
 
 def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, budget: int):
@@ -166,14 +196,16 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
     clauses counted from the newest, sorted.  Distinct retraction sets have
     distinct ages, so ties never reach the canonical text.  The scores come
     from the retraction set; the aesthetic one scores the kept clauses as an
-    unordered set, and only the first `budget` distinct theories of the
+    unordered set.  Every candidate is scored first, the age is computed only
+    among equal scores, and only the first `budget` distinct theories of the
     ranking are built, in clause order.
 
     Returns the first `budget` distinct theories of a ranking that does not
     depend on `budget`.  Observed literals that give a predicate both values
     raise ContradictoryObservations; a theory that is inconsistent apart from
     the suspect pool, which no retraction from the pool repairs, raises
-    ValueError."""
+    ValueError; a size level that would take the retraction sets walked past
+    MAX_REPAIR_CHECKS raises RepairLimit before it starts."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     conflict = frozenset(conflict)
@@ -228,7 +260,15 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
     pool_residues = frozenset(suspects & residue.keys())
     verdicts: dict[frozenset[int], bool] = {}
     candidates = []
+    checks = 0
     for size in range(len(falsified), len(suspects) + 1):
+        checks += comb(len(optional), size - len(falsified))
+        if checks > MAX_REPAIR_CHECKS:
+            raise RepairLimit(
+                f"repair search over a pool of {len(suspects)} clauses refused at size level "
+                f"{size}: it would walk {checks:,} retraction sets, past the limit of "
+                f"{MAX_REPAIR_CHECKS:,} (revision.MAX_REPAIR_CHECKS)"
+            )
         for extra in combinations(optional, size - len(falsified)):
             kept_residues = pool_residues.difference(extra)
             consistent = verdicts.get(kept_residues)
@@ -250,13 +290,11 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
     # the observed units the theory lacks.
     recorded = {j for _, j in unit_slots if j is not None}
     fresh = tuple(u for u, j in unit_slots if j is None)
-    candidates.sort(key=_strategy_key(
-        strategy, preds, clauses + fresh, lambda r: r - recorded,
-        lambda r: tuple(sorted(n - 1 - i for i in r)),  # the age
-    ))
+    score = _strategy_key(strategy, preds, clauses + fresh, dropped=lambda r: r - recorded)
+    age = lambda r: tuple(sorted(n - 1 - i for i in r))
     ranked = []
     seen = set()
-    for retracted in candidates:
+    for retracted in _ranked(candidates, score, age):
         candidate = kept(retracted)
         if candidate not in seen:
             seen.add(candidate)
@@ -269,37 +307,45 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
 def _bridging_candidates(theory: Theory, new_pred: int, old_preds):
     """Consistent two-literal implications linking a new predicate to an old
     one, given the theory already contains the observed units: the clauses
-    not in the theory that it stays satisfiable with, decided on clause
-    masks without building the extended theory."""
+    not in the theory that it stays satisfiable with.  The theory is
+    consistent, as `revise` keeps it, so each option is first read against
+    its unit masks: one with a literal that a unit asserts is consistent, one
+    whose literals units both deny is not, and only the rest are decided on
+    clause masks without building the extended theory."""
     present = set(theory.clauses)
-    options = [
-        c
-        for r in sorted(old_preds)
-        if r != new_pred
-        for new_pol in (True, False)
-        for old_pol in (True, False)
-        for c in (clause((new_pred, new_pol), (r, old_pol)),)
-        if c not in present
-    ]
-    held = [c.masks for c in theory.clauses]
-    return [c for c in options if satisfiable(held + [c.masks])]
+    held_true, held_false = theory.units
+    held = None
+    out = []
+    for r in sorted(old_preds):
+        if r == new_pred:
+            continue
+        for new_pol in (True, False):
+            for old_pol in (True, False):
+                c = clause((new_pred, new_pol), (r, old_pol))
+                if c in present:
+                    continue
+                pos, neg = c.masks
+                if pos & held_true or neg & held_false:
+                    out.append(c)
+                elif pos & ~held_false or neg & ~held_true:
+                    if held is None:
+                        held = [k.masks for k in theory.clauses]
+                    if satisfiable(held + [c.masks]):
+                        out.append(c)
+    return out
 
 
 def _bridge(theory: Theory, options, strategy: RevisionStrategy) -> Theory:
     """The theory extended by the strategy's choice among the bridging
-    clauses `options`, ranked by score and then canonical text."""
+    clauses `options`, each scored by its delta, the one clause it adds, with
+    ties broken by canonical text.  The theory's clauses are rendered and
+    sorted once; an option's text is that rendering with the option inserted
+    at its sort position, built only where random hashes it or scores tie."""
     # `revise` offers only options over predicates already in the theory (the
     # new predicate and its anchors): one predicate prefix is exact for them all
-    clauses = theory.clauses + tuple(options)
-    slots = range(len(theory.clauses), len(clauses))
-    others = {i: frozenset(slots).difference([i]) for i in slots}
-    text = canonical_texts(theory.predicates, clauses)
-    texts = {i: text(dropped) for i, dropped in others.items()}
-    best = min(texts, key=_strategy_key(
-        strategy, theory.predicates, clauses, others.__getitem__, texts.__getitem__,
-        text=texts.__getitem__,
-    ))
-    return theory.with_clause(clauses[best])
+    text = extended_texts(theory.predicates, theory.clauses)
+    score = _strategy_key(strategy, theory.predicates, theory.clauses, text=text)
+    return theory.with_clause(next(_ranked(options, score, text)))
 
 
 def revise(agent: AgentState, observations, strategy: RevisionStrategy) -> AgentState:

@@ -20,10 +20,12 @@ integer cuts and an agent's observations of a tick in one batch of `rng.folds`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .rng import SplitMix64, folds, mix, stream
 
@@ -221,14 +223,42 @@ def _rendered(c: Clause) -> tuple[tuple[tuple[int, bool], ...], str]:
     return c.sort_key(), c.render()
 
 
+def _rendering(predicates: frozenset[int], clauses):
+    """The text head of a theory over `predicates`, and `clauses` rendered with
+    their indices, in sort-key order."""
+    head = f"[{_predicate_list(predicates)}] "
+    return head, sorted(enumerate(map(_rendered, clauses)), key=lambda r: r[1][0])
+
+
 def canonical_texts(predicates: frozenset[int], clauses):
     """`text(dropped)`: the canonical text of the theory over `predicates` that
     keeps the clauses not indexed in `dropped`, from one rendering in sort-key order."""
-    head = f"[{_predicate_list(predicates)}] "
-    rendering = sorted(enumerate(map(_rendered, clauses)), key=lambda r: r[1][0])
+    head, rendering = _rendering(predicates, clauses)
 
     def text(dropped) -> str:
         return head + "; ".join([t for i, (_, t) in rendering if i not in dropped])
+
+    return text
+
+
+def extended_texts(predicates: frozenset[int], clauses):
+    """`text(c)`: the canonical text of the theory over `predicates` with
+    `clauses` plus a clause `c` they lack, `canonical_texts(predicates,
+    clauses + (c,))(())`, from one rendering of `clauses`: the rendering of
+    `c` inserted at its sort position."""
+    head, rendering = _rendering(predicates, clauses)
+    keys = [key for _, (key, _) in rendering]
+    texts = [t for _, (_, t) in rendering]
+    whole = head + "; ".join(texts)
+    # starts[k]: where the k-th rendered clause begins in `whole`
+    starts = list(accumulate((len(t) + 2 for t in texts), initial=len(head)))
+
+    def text(c: Clause) -> str:
+        key, t = _rendered(c)
+        k = bisect_left(keys, key)
+        if k < len(keys):
+            return whole[:starts[k]] + t + "; " + whole[starts[k]:]
+        return whole + "; " + t if keys else whole + t
 
     return text
 

@@ -265,6 +265,18 @@ def test_coverage_rejects_empty_revealed_and_negative_depth():
         coverage_fraction(a, frozenset({0}), actual, -1)
 
 
+def test_sentence_types_refuse_a_depth_step_past_the_limit():
+    # 15 free predicates: depth 1 has 451 types, and the step to depth 2 would
+    # combine 3 * 451**2 = 610,203 type pairs (3.3 s and 1.1 GiB if it ran);
+    # 14 predicates (463,347 pairs) stay under the limit
+    preds = frozenset(range(15))
+    a = agent_state(1, Theory(preds, ()))
+    actual = State(preds, frozenset(range(0, 15, 2)))
+    with pytest.raises(ValueError, match=r"610,203 type pairs, past the limit of 600,000 "
+                                         r"\(harness.MAX_SENTENCE_TYPES\)"):
+        coverage_fraction(a, preds, actual, 2)
+
+
 def test_depth2_scenario_coverage_matches_oracle():
     data = json.loads((SCENARIOS / "agree_disagree.json").read_text())
     data["run"] = {"ticks": 2, "depth": 2}

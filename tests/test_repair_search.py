@@ -9,7 +9,12 @@ engine decides consistency on clause bitmasks instead, stops the deductive
 search early, scores candidates from their retraction sets and breaks ties on
 age alone; these tests hold it to the same ranked repairs.  `reference_revise`
 likewise builds every bridging candidate with `Theory.with_clause` and decides
-it by truth table, where the engine decides bridging clauses on masks.
+it by truth table, where the engine decides bridging clauses on unit masks
+first and on clause masks after.  `parent_bridging_candidates` and
+`parent_bridge` are the previous engine's bridging, which decided every option
+by the kernel and built every option's full (score, canonical text) key; the
+engine now scores each option by its delta, the one clause it adds, and holds
+to them on theories with and without free predicates.
 
 `Theory.models` runs on the same kernel as the engine's consistency checks,
 so no reference here asks it: `consistent_by_sweep` tries every assignment
@@ -18,22 +23,29 @@ and ties on comes from `reference_text`, not from the engine's builder.
 """
 
 import hashlib
+import json
+import time
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import and_
 
+import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oee import revision
+from oee import harness, revision
+from oee.cli import main
 from oee.epistemics import agent_state
 from oee.revision import (
     REPAIR_BREADTH,
     ContradictoryObservations,
+    RepairLimit,
     RevisionStrategy,
     StrategyKind,
     _bridge,
     _bridging_candidates,
+    _ranked,
     propose_revisions,
     revise,
     symmetry_score,
@@ -45,8 +57,11 @@ from oee.universe import (
     Theory,
     canonical_texts,
     clause,
+    empty_theory,
+    extended_texts,
     residues,
     satisfiable,
+    text_digest,
     unit,
 )
 
@@ -210,6 +225,61 @@ def reference_revise(agent, observations, strategy: RevisionStrategy) -> Theory:
     return theory
 
 
+def parent_bridging_candidates(theory: Theory, new_pred: int, old_preds):
+    """The previous `_bridging_candidates`: every option decided by the
+    kernel over every clause of the theory."""
+    present = set(theory.clauses)
+    options = [
+        c
+        for r in sorted(old_preds)
+        if r != new_pred
+        for new_pol in (True, False)
+        for old_pol in (True, False)
+        for c in (clause((new_pred, new_pol), (r, old_pol)),)
+        if c not in present
+    ]
+    held = [c.masks for c in theory.clauses]
+    return [c for c in options if satisfiable(held + [c.masks])]
+
+
+def parent_bridge(theory: Theory, options, strategy: RevisionStrategy) -> Theory:
+    """The previous `_bridge`: each option's full (score, canonical text) key,
+    its text built from the theory's clauses and every option, the other
+    options dropped."""
+    clauses = theory.clauses + tuple(options)
+    slots = range(len(theory.clauses), len(clauses))
+    others = {i: frozenset(slots).difference([i]) for i in slots}
+    text = canonical_texts(theory.predicates, clauses)
+    texts = {i: text(dropped) for i, dropped in others.items()}
+    if strategy.kind is StrategyKind.RANDOM:
+        key = lambda i: (mix(strategy.seed, int(text_digest(texts[i]), 16)), texts[i])
+    elif strategy.kind is StrategyKind.HEURISTIC:
+        sizes = [len(c.literals) for c in clauses]
+        total = sum(sizes)
+        key = lambda i: (total - sum(sizes[j] for j in others[i]), texts[i])
+    else:
+        def key(i):
+            kept = tuple(k for j, k in enumerate(clauses) if j not in others[i])
+            return -symmetry_score(Theory(theory.predicates, kept)), texts[i]
+    return theory.with_clause(clauses[min(texts, key=key)])
+
+
+def parent_revise(agent, observations, strategy: RevisionStrategy) -> Theory:
+    """The theory `revise` gives with the previous bridging."""
+    obs = frozenset(observations)
+    theory = propose_revisions(agent, obs, strategy, 1)[0]
+    anchors = agent.predicates
+    for q in sorted({p for p, _ in obs} - agent.predicates):
+        if not anchors:
+            anchors = {p for p in theory.predicates if p != q}
+            continue
+        options = parent_bridging_candidates(theory, q, anchors)
+        if options:
+            theory = parent_bridge(theory, options, strategy)
+        anchors = anchors | {q}
+    return theory
+
+
 # --- generators ----------------------------------------------------------------
 
 PREDICATES = range(8)
@@ -260,6 +330,23 @@ def consistent(literals):
 strategies = st.builds(
     RevisionStrategy, st.sampled_from(list(StrategyKind)), st.integers(0, 2**64 - 1)
 )
+
+NON_DEDUCTIVE = [k for k in StrategyKind if k is not StrategyKind.DEDUCTIVE]
+
+
+@st.composite
+def bridging_cases(draw):
+    """A consistent theory, a new predicate and anchors, as `revise` bridges
+    them.  The theory is true at a state and holds the units of that state
+    for every predicate 0..8, so none is free, or for some of them only."""
+    state = draw(st.fixed_dictionaries({p: st.booleans() for p in range(9)}))
+    clauses = tuple(true_at(state, draw(theories()).clauses))
+    fixed = draw(st.just(range(9)) | st.sets(st.sampled_from(range(9))))
+    clauses = tuple(dict.fromkeys(clauses + tuple(unit(p, state[p]) for p in sorted(fixed))))
+    new_pred = draw(st.sampled_from(range(9)))
+    old_preds = draw(st.sets(st.sampled_from(range(9))))
+    preds = frozenset(old_preds | {new_pred}).union(*(c.predicates() for c in clauses))
+    return Theory(preds, clauses), new_pred, old_preds
 
 
 # --- properties ------------------------------------------------------------------
@@ -378,17 +465,57 @@ def test_canonical_texts_match_reference(clauses, data):
                                  min_size=1, max_size=4, unique=True))
     preds = preds.union(*(c.predicates() for c in options))
     text = canonical_texts(preds, clauses + tuple(options))
+    extended = extended_texts(preds, clauses)
     slots = range(len(clauses), len(clauses) + len(options))
     for i, option in zip(slots, options):
-        assert text(set(slots) - {i}) == reference_text(Theory(preds, clauses + (option,)))
+        want = reference_text(Theory(preds, clauses + (option,)))
+        assert text(set(slots) - {i}) == want
+        assert extended(option) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(bridging_cases())
+def test_bridging_candidates_match_the_parent(case):
+    # with every predicate fixed by a unit the kernel is never asked
+    theory, new_pred, old_preds = case
+    assert _bridging_candidates(theory, new_pred, old_preds) == \
+        parent_bridging_candidates(theory, new_pred, old_preds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bridging_cases(), st.sampled_from(NON_DEDUCTIVE), st.integers(0, 2**64 - 1))
+def test_bridge_matches_the_parent(case, kind, seed):
+    theory, new_pred, old_preds = case
+    options = parent_bridging_candidates(theory, new_pred, old_preds)
+    assume(options)
+    strategy = RevisionStrategy(kind, seed)
+    assert _bridge(theory, options, strategy) == parent_bridge(theory, options, strategy)
+
+
+def test_bridging_asks_the_kernel_only_where_units_do_not_decide(monkeypatch):
+    # p5 is asserted, so every option with p5 holds; of those with ~p5, the
+    # anchor's literal is asserted (consistent), denied (inconsistent) or, for
+    # the free p4, left to the kernel
+    theory = Theory(frozenset(range(6)), (
+        unit(0, True), unit(1, False), unit(2, True), unit(3, False), unit(5, True),
+        clause((4, True), (0, False), (1, True)),
+    ))
+    asked = []
+    real = revision.satisfiable
+    monkeypatch.setattr(revision, "satisfiable", lambda masks: asked.append(masks) or real(masks))
+    options = _bridging_candidates(theory, 5, range(5))
+    assert len(asked) == 2
+    assert options == parent_bridging_candidates(theory, 5, range(5))
+    assert len(options) == 10 + 4 + 1  # ~p5 | ~p4 is consistent, ~p5 | p4 is not
 
 
 @settings(max_examples=100, deadline=None)
 @given(theories(), st.lists(literal_sets, min_size=1, max_size=5, unique=True),
-       st.sampled_from([k for k in StrategyKind if k is not StrategyKind.DEDUCTIVE]))
+       st.sampled_from(NON_DEDUCTIVE))
 def test_bridge_builds_each_option_text_once(theory, options, kind):
-    """One clause rendering per bridge, and one canonical text per option,
-    which random both hashes and ties on."""
+    """One clause rendering per bridge, and at most one canonical text per
+    option: random hashes every option's text and the others build texts only
+    among the options of the best score, where the text breaks the tie."""
     options = [c for c in options if c not in theory.clauses]
     assume(options)
     theory = Theory(theory.predicates.union(*(c.predicates() for c in options)), theory.clauses)
@@ -396,18 +523,55 @@ def test_bridge_builds_each_option_text_once(theory, options, kind):
 
     def counting(predicates, clauses):
         renderings.append(clauses)
-        text = canonical_texts(predicates, clauses)
-        return lambda dropped: built.append(sorted(dropped)) or text(dropped)
+        text = extended_texts(predicates, clauses)
+        return lambda c: built.append(c) or text(c)
 
-    revision.canonical_texts, real = counting, revision.canonical_texts
+    revision.extended_texts, real = counting, revision.extended_texts
     try:
-        chosen = _bridge(theory, options, RevisionStrategy(kind, 5))
+        strategy = RevisionStrategy(kind, 5)
+        chosen = _bridge(theory, options, strategy)
     finally:
-        revision.canonical_texts = real
-    slots = set(range(len(theory.clauses), len(theory.clauses) + len(options)))
-    assert len(renderings) == 1
-    assert sorted(built) == sorted(sorted(slots - {i}) for i in slots)
-    assert chosen in [theory.with_clause(c) for c in options]
+        revision.extended_texts = real
+    assert renderings == [theory.clauses]
+    assert len(built) == len(set(built))
+    if kind is StrategyKind.RANDOM:
+        assert sorted(built, key=Clause.sort_key) == sorted(options, key=Clause.sort_key)
+    else:
+        scores = {c: reference_key(strategy, theory.with_clause(c), (), 0)[0] for c in options}
+        best = min(scores.values())
+        tied = [c for c in options if scores[c] == best]
+        assert built == ([] if len(tied) == 1 else tied)
+    assert chosen == parent_bridge(theory, options, strategy)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 3)), st.integers(0, 8))
+def test_ranking_computes_ties_only_among_equal_scores(scores, taken):
+    """`_ranked` gives the (score, tie) order, and a tie only for a candidate
+    whose score another shares, once the ranking reaches its run."""
+    candidates = list(range(len(scores)))
+    tie = [-c for c in candidates]  # the newest first, as the age ranks
+    asked = []
+    ranking = _ranked(candidates, scores.__getitem__, lambda c: asked.append(c) or tie[c])
+    first = [c for _, c in zip(range(taken), ranking)]
+    order = sorted(candidates, key=lambda c: (scores[c], tie[c]))
+    assert first == order[:taken]
+    runs_reached = {scores[c] for c in first}
+    assert sorted(asked) == [c for c in candidates
+                             if scores[c] in runs_reached and scores.count(scores[c]) > 1]
+    assert list(_ranked(candidates, scores.__getitem__, tie.__getitem__)) == order
+
+
+def test_sixty_new_predicates_bridge_as_the_parent_does():
+    # one first-tick revise in which a heuristic and a random agent observe 60
+    # new predicates: 59 bridges over about 236 options each
+    observations = frozenset((p, bool(mix(11, p) & 1)) for p in range(60))
+    a = agent_state(1, empty_theory())
+    for kind in (StrategyKind.HEURISTIC, StrategyKind.RANDOM):
+        strategy = RevisionStrategy(kind, 5)
+        theory = revise(a, observations, strategy).theory
+        assert len(theory.clauses) == 60 + 59
+        assert theory.digest() == parent_revise(a, observations, strategy).digest()
 
 
 @st.composite
@@ -476,3 +640,56 @@ def test_candidate_sets_follow_their_definition():
     for t in ranked:
         assert len(t.clauses) == n - level + 1
         assert unit(20, True) in t.clauses
+
+
+# --- the repair limit ----------------------------------------------------------
+
+
+def test_repair_limit_refuses_a_level_before_walking_it(monkeypatch):
+    # the heuristic search above walks levels 1..4 of its 9 optional clauses:
+    # 1 + 9 + 36 + 84 = 130 retraction sets
+    conflict = {(0, True)}
+    theory = Theory(
+        frozenset(range(10)) | {20},
+        (unit(0, False),) + tuple(clause((0, True), (i, True)) for i in range(1, 10))
+        + (unit(20, True),),
+    )
+    a = agent_state(1, theory)
+    heuristic = RevisionStrategy(StrategyKind.HEURISTIC)
+    want = propose_revisions(a, conflict, heuristic, 1)
+    monkeypatch.setattr(revision, "MAX_REPAIR_CHECKS", 130)
+    assert propose_revisions(a, conflict, heuristic, 1) == want
+    monkeypatch.setattr(revision, "MAX_REPAIR_CHECKS", 129)
+    with pytest.raises(RepairLimit, match=r"pool of 10 clauses refused at size level 4: "
+                                          r"it would walk 130 .* limit of 129"):
+        propose_revisions(a, conflict, heuristic, 1)
+
+
+LARGE_VOCABULARY_PROBE = {
+    # two agents at visibility 1/2: a deductive one with the first half of the
+    # predicates as its niche and a heuristic one with the middle half
+    "seed": 5, "weights": ["1/2", "1/4", "1/4"], "initial_predicates": 120,
+    "agents": [
+        {"id": 1, "niche": list(range(60)), "visibility": "1/2", "strategy": "deductive"},
+        {"id": 2, "niche": list(range(30, 90)), "visibility": "1/2", "strategy": "heuristic"},
+    ],
+    "run": {"ticks": 100, "depth": 1, "replicates": 4},
+}
+
+
+def test_large_vocabulary_probe_raises_instead_of_hanging(tmp_path):
+    # in replicate 0 an observation falsifies 34 of the heuristic agent's
+    # units, and its bridges force the old values, so no retraction of fewer
+    # than 37 of the 228 suspects is consistent; walking C(194, 3) sets and
+    # more would take minutes
+    scenario = harness.scenario_from_dict(LARGE_VOCABULARY_PROBE)
+    start = time.perf_counter()
+    with pytest.raises(RepairLimit, match="pool of 228 clauses refused at size level 37"):
+        harness.run_full(scenario, 0)
+    assert time.perf_counter() - start < 30
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(LARGE_VOCABULARY_PROBE))
+    out = tmp_path / "trace.jsonl"
+    result = CliRunner().invoke(main, ["run", "--scenario", str(path), "--out", str(out)])
+    assert result.exit_code == 1
+    assert "revision.MAX_REPAIR_CHECKS" in result.output
