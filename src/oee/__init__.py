@@ -9,7 +9,7 @@ from .epistemics import Truth3, AgentState, Partition, decide, contextual_possib
     local_knowledge, information_partition, adjacent_possible
 from .revision import RevisionStrategy, StrategyKind, ExtensionClass, revise, \
     classify_extension, propose_revisions
-from .multiagent import SharedFrame, knowledge_event, meet, common_knowledge, \
+from .multiagent import SharedFrame, meet, common_knowledge, \
     posterior, agreement_check, validate_s5
 from .harness import Scenario, load_scenario, run, ergodicity_report, \
     bin_timeline, export

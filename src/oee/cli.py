@@ -63,8 +63,7 @@ def _load_frame_at(frame_path, at):
     from .frames import load_frame, state_from_bits
 
     frame = load_frame(frame_path)
-    state = state_from_bits(at, frame.shared_predicates)
-    return frame, state
+    return frame, state_from_bits(at, frame.shared_predicates)
 
 
 @main.command("check")

@@ -71,12 +71,6 @@ class Partition:
         if union != set(self.ground) or total != len(self.ground):
             raise ValueError("classes must partition the ground set exactly")
 
-    def class_of(self, element) -> frozenset:
-        for cls in self.classes:
-            if element in cls:
-                return cls
-        raise KeyError(element)
-
 
 def partition_from_classes(ground, classes) -> Partition:
     """The partition of `ground` into `classes`, ordered by least element
@@ -128,25 +122,29 @@ def local_knowledge(agent: AgentState, omega: State, depth: int) -> frozenset[Fo
                      if event_mask(f, worlds, full, masks) == full)
 
 
-def information_partition(agent: AgentState) -> Partition:
-    """States of the contextual possible, merged when indistinguishable: equal
-    κ and agreement on every currently observed literal.
-
-    κ never splits a class, so the states are grouped by their observation
-    signature alone, and the partition is the same at every sentence depth: a
-    sentence is decided TRUE only when it holds in every model, so κ(ω)
-    (`local_knowledge`) is the same set at every model state ω.  An empty
-    language raises ValueError."""
-    model = contextual_possible(agent)
-    if not model:
+def information_labels(agent: AgentState) -> tuple[tuple[int, ...], list[int]]:
+    """The true-masks of the contextual possible, in `State.sort_key` order,
+    and each one's information class: states are indistinguishable when κ is
+    equal and they agree on every observed literal.  A sentence is decided
+    TRUE only when it holds in every model, so κ (`local_knowledge`) is one
+    set at every model and the class is the mask of the observed predicates
+    a state makes true, at every sentence depth.  An empty language raises
+    ValueError."""
+    models = _models(agent.theory)
+    if not models:
         raise EmptyModel("inconsistent theory: no states to partition")
     if not agent.predicates:
         raise ValueError("predicate set must be nonempty")
-    obs = sorted(agent.observations)
-    groups: dict[tuple, set[State]] = {}
-    for omega in model:
-        groups.setdefault(tuple(omega.value(p) == v for p, v in obs), set()).add(omega)
-    return partition_from_classes(model, groups.values())
+    observed = predicate_mask(frozenset(p for p, _ in agent.observations))
+    return models, [m & observed for m in models]
+
+
+def information_partition(agent: AgentState) -> Partition:
+    """The states of the contextual possible, grouped by `information_labels`."""
+    groups: dict[int, set[State]] = {}
+    for m, label in zip(*information_labels(agent)):
+        groups.setdefault(label, set()).add(State(agent.predicates, frozenset(mask_bits(m))))
+    return partition_from_classes(frozenset().union(*groups.values()), groups.values())
 
 
 def adjacent_possible(before: AgentState, after: AgentState) -> frozenset[State]:

@@ -7,32 +7,26 @@ Common knowledge, posteriors, and the agreement experiment all run over that
 frame; `validate_s5` checks the modal axioms under partition semantics, with a
 relation-based debug evaluator as the negative control.
 
-Agreement, common knowledge and S5 validation work on events as bitmasks over
-the ground, through one mask view per frame (`SharedFrame.masks`), built on
-first use: the ground numbered in `State.sort_key` order (bit k for the k-th
-state), its true-masks, each agent's class masks, and, on first need, the
-class mask of every state in the meet, taken from one call to `meet`.
-Formulas become masks through `formula.event_mask`; S5 validation takes its
-base events from truth tables over the cube of the base predicates, evaluated
-once per (base predicates, depth) and cached, and projects each table onto
-the frame's ground by the base-predicate code of every state.  The posterior
-profile event is the union of the classes C whose popcount ratio |E & C| /
-|C| equals the agent's posterior at the evaluation state, common knowledge
-of E at w is `meet(w) & ~E == 0`, and K_i(E) is the union of the classes
-(for a relation, of the states) whose successors lie inside E.
+A frame holds no `State`: its ground is a tuple of true-masks in
+`State.sort_key` order (position k for the k-th), each agent's partition one
+array of class labels with the class sizes, and the meet one more label
+array.  Events are ground masks (bit k for position k) or position lists,
+and every check scans labels.  States are built only where a function
+returns them: `SharedFrame.ground`, `partition_of`, `FailsAt` and the S5
+counterexamples.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
-from .epistemics import AgentState, Partition, information_partition, partition_from_classes
+from .epistemics import AgentState, Partition, information_labels
 from .formula import Formula, Implies, Know, atoms, event_mask, is_propositional, \
     render
-from .universe import State, predicate_mask
+from .universe import State, mask_bits, predicate_mask
 
 
 class GroundMismatch(ValueError):
@@ -43,197 +37,167 @@ class NotClosedMode(ValueError):
     pass
 
 
-def knowledge_event(p: Partition, event) -> frozenset:
-    """K(E): states whose whole information class lies inside the event."""
-    event = frozenset(event)
-    if not event <= p.ground:
-        raise GroundMismatch("event must be a subset of the partition ground")
-    return frozenset(w for cls in p.classes if cls <= event for w in cls)
+def _labelling(raw) -> tuple[array, tuple[int, ...]]:
+    """Class labels renumbered in order of first position, and class sizes."""
+    names: dict = {}
+    labels = array("l", [names.setdefault(c, len(names)) for c in raw])
+    sizes = [0] * len(names)
+    for c in labels:
+        sizes[c] += 1
+    return labels, tuple(sizes)
 
 
-def _merged(classes) -> list[set]:
-    """The connected components of the classes' overlap graph, by one
-    union-find over their elements, numbered as first seen."""
-    index: dict = {}
-    parent: dict[int, int] = {}
-
-    def find(k: int) -> int:
-        while (up := parent.setdefault(k, k)) != k:
-            parent[k] = k = parent[up]
-        return k
-
-    for cls in classes:
-        roots = [find(index.setdefault(e, len(index))) for e in cls]
-        for k in roots:
-            parent[k] = roots[0]
-    components: dict[int, set] = {}
-    for e, k in index.items():
-        components.setdefault(find(k), set()).add(e)
-    return list(components.values())
-
-
-def meet(partitions) -> Partition:
-    """Finest common coarsening: connected components of the class-overlap
-    graph across all partitions."""
-    partitions = list(partitions)
-    if not partitions:
+def meet(labellings) -> array:
+    """The labels of the finest common coarsening of partitions given as
+    label arrays over one ground, numbered by least position: one union-find
+    over the first's labels joins those that a class of another meets."""
+    labellings = list(labellings)
+    if not labellings:
         raise ValueError("meet of zero partitions")
-    ground = partitions[0].ground
-    if any(p.ground != ground for p in partitions):
+    first = _labelling(labellings[0])[0]  # any hashable labels, renumbered from 0
+    if any(len(labels) != len(first) for labels in labellings):
         raise GroundMismatch("all partitions must share one ground set")
-    return partition_from_classes(ground, _merged(c for p in partitions for c in p.classes))
+    parent = list(range(len(first)))
+
+    def find(x: int) -> int:
+        while (up := parent[x]) != x:
+            parent[x] = x = parent[up]
+        return x
+
+    for labels in labellings[1:]:
+        anchor: dict[int, int] = {}  # a first label that each class meets
+        for a, b in zip(first, labels):
+            root = anchor.setdefault(b, a)
+            if root != a and (root := find(root)) != (a := find(a)):
+                parent[a] = root
+    return _labelling([find(c) for c in first])[0]
 
 
-class FrameMasks:
-    """The mask view of a shared frame: `states` is the ground in
-    `State.sort_key` order, `index` maps each state to its bit and `trues`
-    to its true-mask, by bit; `classes` lists each agent's class masks.
-    `meet_at` gives the meet's class mask of every state, computed by `meet`
-    on first call."""
-
-    __slots__ = ("states", "index", "full", "trues", "domain", "classes", "_partitions", "_meet_at")
-
-    def __init__(self, ground: frozenset[State], partitions: dict[int, Partition]):
-        self.states = sorted(ground, key=State.sort_key)
-        self.index = {w: k for k, w in enumerate(self.states)}
-        self.full = (1 << len(self.states)) - 1
-        self.trues = [sum(1 << p for p in w.true) for w in self.states]
-        self.domain = -1  # bit p when every ground state assigns predicate p
-        for d in {w.domain for w in self.states}:
-            self.domain &= predicate_mask(d)
-        self.classes = {}
-        for i, p in partitions.items():
-            if p.ground != ground:
-                raise GroundMismatch("partition ground differs from the frame ground")
-            self.classes[i] = tuple(self.mask(cls) for cls in p.classes)
-        self._partitions = partitions
-        self._meet_at = None
-
-    def mask(self, states) -> int:
-        """The mask of a set of ground states (KeyError for any other)."""
-        index = self.index
-        out = 0
-        for w in states:
-            out |= 1 << index[w]
-        return out
-
-    def states_of(self, mask: int) -> frozenset[State]:
-        return frozenset(w for k, w in enumerate(self.states) if mask >> k & 1)
-
-    def formula_mask(self, f: Formula) -> int:
-        """The mask of the ground states where the propositional formula f
-        holds; ValueError for a formula with a knowledge operator, KeyError
-        naming the least atom that some ground state does not assign."""
-        if not is_propositional(f):
-            raise ValueError("event formulas must be propositional")
-        outside = predicate_mask(atoms(f)) & ~self.domain
-        if outside:
-            raise KeyError((outside & -outside).bit_length() - 1)
-        return event_mask(f, self.trues, self.full, {})
-
-    def meet_at(self) -> list[int]:
-        if self._meet_at is None:
-            self._meet_at = [0] * len(self.states)
-            for cls in meet(self._partitions.values()).classes:
-                m = self.mask(cls)
-                for w in cls:
-                    self._meet_at[self.index[w]] = m
-        return self._meet_at
+def _positions(mask: int, n: int) -> list[int]:
+    """The set bits of a mask over n ground positions (KeyError past them)."""
+    if mask < 0 or mask >> n:
+        raise KeyError(mask)
+    return [k for k, b in enumerate(format(mask, "b")[::-1]) if b == "1"]
 
 
 @dataclass(frozen=True, slots=True)
 class SharedFrame:
+    """The ground's true-masks in `State.sort_key` order, per agent each
+    position's class label and the class sizes, and whether every agent
+    speaks exactly the shared predicates; the meet's labels and each
+    true-mask's position are derived."""
+
     agents: tuple[int, ...]
     shared_predicates: frozenset[int]
-    ground: frozenset[State]
-    projected_partitions: dict[int, Partition]
-    agent_predicates: dict[int, frozenset[int]]
-    # the mask view, built by the first `masks()` call
-    _masks: FrameMasks | None = field(default=None, init=False, compare=False, repr=False)
+    trues: tuple[int, ...]
+    classes: dict[int, tuple[array, tuple[int, ...]]]
+    closed: bool
+    meet_labels: array = field(init=False, compare=False, repr=False)
+    index: dict[int, int] = field(init=False, compare=False, repr=False)
 
-    def partition_of(self, agent_id: int) -> Partition:
-        return self.projected_partitions[agent_id]
+    def __post_init__(self):
+        if any(len(labels) != len(self.trues) for labels, _ in self.classes.values()):
+            raise GroundMismatch("partition ground differs from the frame ground")
+        object.__setattr__(self, "meet_labels", meet(c[0] for c in self.classes.values()))
+        object.__setattr__(self, "index", {t: k for k, t in enumerate(self.trues)})
 
-    def masks(self) -> FrameMasks:
-        """The frame's mask view, built on first use (GroundMismatch when a
-        partition's ground differs from the frame's)."""
-        view = self._masks
-        if view is None:
-            view = FrameMasks(self.ground, self.projected_partitions)
-            object.__setattr__(self, "_masks", view)
-        return view
+    def position(self, w: State) -> int:
+        """The ground position of a state (KeyError for any other; -1 is no
+        true-mask)."""
+        return self.index[predicate_mask(w.true) if w.domain == self.shared_predicates else -1]
+
+    def states(self, positions) -> list[State]:
+        """The states at the ground positions, in order."""
+        domain, trues = self.shared_predicates, self.trues
+        return [State(domain, frozenset(mask_bits(trues[k]))) for k in positions]
 
     @property
-    def closed(self) -> bool:
-        return all(p == self.shared_predicates for p in self.agent_predicates.values())
+    def ground(self) -> frozenset[State]:
+        return frozenset(self.states(range(len(self.trues))))
+
+    def partition_of(self, agent_id: int) -> Partition:
+        labels, sizes = self.classes[agent_id]
+        members: list[list[int]] = [[] for _ in sizes]
+        for k, c in enumerate(labels):
+            members[c].append(k)
+        classes = tuple(frozenset(self.states(m)) for m in members)
+        return Partition(frozenset().union(*classes), classes)
+
+    def formula_mask(self, f: Formula) -> int:
+        """The ground mask of the propositional formula f (ValueError if it is
+        not propositional, KeyError naming its least atom outside the frame)."""
+        if not is_propositional(f):
+            raise ValueError("event formulas must be propositional")
+        if outside := atoms(f) - self.shared_predicates:
+            raise KeyError(min(outside))
+        return event_mask(f, self.trues, (1 << len(self.trues)) - 1, {})
 
 
 MAX_CUBE_PREDICATES = 16
 
 
-def full_cube(predicates) -> frozenset[State]:
-    """Every total assignment over the predicates: 2^n states for n of them.
-    More than MAX_CUBE_PREDICATES predicates raise ValueError before any
-    state is built."""
+def _cube(predicates) -> list[int]:
+    """The true-mask of every total assignment over the predicates, in
+    `State.sort_key` order: 2^n of them for n predicates.  More than
+    MAX_CUBE_PREDICATES predicates raise ValueError before any is built."""
     preds = sorted(set(predicates))
     if len(preds) > MAX_CUBE_PREDICATES:
-        raise ValueError(
-            f"full cube over {len(preds)} predicates exceeds the limit of "
-            f"{MAX_CUBE_PREDICATES} predicates ({1 << MAX_CUBE_PREDICATES} states)"
-        )
-    domain = frozenset(preds)
-    return frozenset(
-        State(domain, frozenset(p for p, v in zip(preds, values) if v))
-        for values in product((False, True), repeat=len(preds))
-    )
+        raise ValueError(f"full cube over {len(preds)} predicates exceeds the limit of "
+                         f"{MAX_CUBE_PREDICATES} predicates ({1 << MAX_CUBE_PREDICATES} states)")
+    # subsets of preds[j:]: the empty one, those with preds[j], then the rest
+    trues = [0]
+    for p in reversed(preds):
+        trues = [0, *[t | 1 << p for t in trues], *trues[1:]]
+    return trues
 
 
-def _coarsen_onto(ground: frozenset[State], projected_classes) -> Partition:
-    """Merge overlapping projected classes into a partition of the ground;
-    states hit by no class form one residual class."""
-    classes = [frozenset(c) & ground for c in projected_classes]
-    merged = _merged(c for c in classes if c)
-    residual = set(ground).difference(*merged)
-    if residual:
-        merged.append(residual)
-    return partition_from_classes(ground, merged)
+def full_cube(predicates) -> frozenset[State]:
+    """The states of `_cube`."""
+    domain = frozenset(predicates)
+    return frozenset(State(domain, frozenset(mask_bits(t))) for t in _cube(domain))
 
 
 def build_shared_frame(agents: list[AgentState]) -> SharedFrame:
+    """Each agent's information classes projected onto the cube of the
+    shared predicates: classes whose projections share a state merge, and
+    the states hit by no class form one residual class."""
     if not agents:
         raise ValueError("need at least one agent")
     shared = frozenset.intersection(*(a.predicates for a in agents))
-    ground = full_cube(shared)
-    projected = {}
+    trues = _cube(shared)
+    index = {t: k for k, t in enumerate(trues)}
+    keep = predicate_mask(shared)
+    classes = {}
     for a in agents:
-        partition = information_partition(a)
-        projected_classes = [
-            frozenset(s.restrict(shared) for s in cls) for cls in partition.classes
-        ]
-        projected[a.id] = _coarsen_onto(ground, projected_classes)
-    return SharedFrame(
-        agents=tuple(a.id for a in agents),
-        shared_predicates=shared,
-        ground=ground,
-        projected_partitions=projected,
-        agent_predicates={a.id: a.predicates for a in agents},
-    )
+        models, groups = information_labels(a)
+        projected = [index[m & keep] for m in models]
+        # over the models, the meet of the classes and of the projection's
+        # fibres gives the merged classes; unhit states keep the label -1
+        raw = [-1] * len(trues)
+        for k, c in zip(projected, meet([groups, projected])):
+            raw[k] = c
+        classes[a.id] = _labelling(raw)
+    return SharedFrame(tuple(a.id for a in agents), shared, tuple(trues), classes,
+                       all(a.predicates == shared for a in agents))
 
 
 def frame_from_partitions(predicates, ground, partitions: dict[int, Partition]) -> SharedFrame:
-    """A closed-mode frame given explicit partitions (e.g. loaded from file)."""
+    """A closed-mode frame of explicit partitions of states over the predicates."""
     preds = frozenset(predicates)
     ground = frozenset(ground)
-    for p in partitions.values():
+    states = sorted(ground, key=State.sort_key)
+    for w in states:
+        if w.domain != preds:
+            raise GroundMismatch(
+                f"ground state {w.bits()} does not assign exactly the frame's predicates")
+    classes = {}
+    for i, p in partitions.items():
         if p.ground != ground:
             raise GroundMismatch("partition ground differs from the frame ground")
-    return SharedFrame(
-        agents=tuple(sorted(partitions)),
-        shared_predicates=preds,
-        ground=ground,
-        projected_partitions=dict(partitions),
-        agent_predicates={i: preds for i in partitions},
-    )
+        label = {w: c for c, cls in enumerate(p.classes) for w in cls}
+        classes[i] = _labelling([label[w] for w in states])
+    return SharedFrame(tuple(sorted(partitions)), preds,
+                       tuple(predicate_mask(w.true) for w in states), classes, True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,17 +218,18 @@ class Infeasible:
 def common_knowledge(frame: SharedFrame, event_formula: Formula, at: State):
     """Holds, FailsAt(states), or Infeasible(missing atoms) when the event is
     not even expressible in the shared language."""
-    view = frame.masks()
-    k = view.index.get(at)
-    if k is None:
-        raise GroundMismatch("evaluation state must lie in the frame ground")
+    try:
+        k = frame.position(at)
+    except KeyError:
+        raise GroundMismatch("evaluation state must lie in the frame ground") from None
     missing = atoms(event_formula) - frame.shared_predicates
     if missing:
         return Infeasible(frozenset(missing))
-    outside = view.meet_at()[k] & ~view.formula_mask(event_formula)
-    if not outside:
-        return Holds()
-    return FailsAt(view.states_of(outside))
+    meet_labels = frame.meet_labels
+    inside = format(frame.formula_mask(event_formula), f"0{len(meet_labels)}b")[::-1]
+    label = meet_labels[k]
+    outside = [j for j, m in enumerate(meet_labels) if m == label and inside[j] == "0"]
+    return FailsAt(frozenset(frame.states(outside))) if outside else Holds()
 
 
 @lru_cache(maxsize=256)
@@ -272,15 +237,17 @@ def _ratio(n: int, d: int) -> Fraction:
     return Fraction(n, d)
 
 
-def posterior(p: Partition, event, at) -> Fraction:
-    """Uniform-prior posterior of the event given the information class of
-    `at` — exact rational.  Posteriors are interned: equal counts |E & C|
-    and |C| return one shared `Fraction`."""
-    event = frozenset(event)
-    if not event <= p.ground:
-        raise GroundMismatch("event must be a subset of the partition ground")
-    cls = p.class_of(at)
-    return _ratio(len(event & cls), len(cls))
+def posterior(classes: tuple[array, tuple[int, ...]], event, at: int) -> Fraction:
+    """Uniform-prior posterior of an event (ground positions) given the class
+    of position `at` in a partition given as (labels, class sizes), exact.
+    Equal counts |E & C| and |C| return one shared `Fraction`."""
+    labels, sizes = classes
+    c = labels[at]
+    n = 0
+    for h in event:
+        if labels[h] == c:
+            n += 1
+    return _ratio(n, sizes[c])
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,32 +258,38 @@ class AgreementReport:
 
 
 def agreement_check(frame: SharedFrame, event, at: State) -> AgreementReport:
-    """Each agent's posterior of the event at `at`, whether the event "every
-    agent's posterior equals its value at `at`" is common knowledge at `at`,
-    and whether the posteriors agree.  Each agent's posterior at `at` comes
-    from `posterior`, once per agent; on the frame's mask view, the profile
-    event is the union of the classes C whose counts |E & C| / |C|
-    cross-multiply to that value, and the posteriors agree when their
-    lowest-terms (numerator, denominator) pairs are all one pair."""
-    view = frame.masks()
+    """Each agent's posterior of the event (a set of ground states, or a
+    ground mask) at `at` from `posterior`, whether the profile event "every
+    agent's posterior equals its value at `at`" (the classes C whose counts
+    |E & C| / |C| cross-multiply to it) holds on the meet class of `at`, and
+    whether the lowest-terms posteriors are all one pair."""
+    index, domain = frame.index, frame.shared_predicates
     try:
-        k = view.index[at]
-        e = view.mask(event)
+        k = frame.position(at)
+        # -1 is no true-mask: a state over other predicates is outside the ground
+        hits = _positions(event, len(frame.trues)) if isinstance(event, int) \
+            else {index[predicate_mask(w.true) if w.domain == domain else -1] for w in event}
     except KeyError:
         raise GroundMismatch("event and state must lie in the frame ground") from None
+    meet_labels = frame.meet_labels
+    label = meet_labels[k]
     posteriors = {}
     values = set()
-    profile = view.full
+    ck = True
     for i in frame.agents:
-        value = posteriors[i] = posterior(frame.partition_of(i), event, at)
-        n, d = value.numerator, value.denominator
+        classes = frame.classes[i]
+        value = posteriors[i] = posterior(classes, hits, k)
+        n, d = value.as_integer_ratio()
         values.add((n, d))
-        same = 0
-        for cls in view.classes[i]:
-            if (e & cls).bit_count() * d == n * cls.bit_count():
-                same |= cls
-        profile &= same
-    ck = not view.meet_at()[k] & ~profile
+        if ck:  # does each of this agent's classes in at's meet class have ratio n / d?
+            labels, sizes = classes
+            counts = [0] * len(sizes)
+            for h in hits:
+                counts[labels[h]] += 1
+            for m, c in zip(meet_labels, labels):
+                if m == label and counts[c] * d != n * sizes[c]:
+                    ck = False
+                    break
     return AgreementReport(posteriors, ck, len(values) == 1)
 
 
@@ -328,6 +301,14 @@ class SchemeReport:
     name: str
     ok: bool
     counterexample: tuple[str, State] | None = None
+
+
+def _class_masks(labels, sizes) -> list[int]:
+    """The ground mask of each class of a partition given as (labels, sizes)."""
+    masks = [0] * len(sizes)
+    for k, c in enumerate(labels):
+        masks[c] |= 1 << k
+    return masks
 
 
 def _knowledge_mask(pairs, event: int) -> int:
@@ -446,33 +427,24 @@ def _base_events(trues, predicates, depth: int) -> list[tuple[int, Formula]]:
 
 def validate_s5(frame: SharedFrame, depth: int) -> list[SchemeReport]:
     """Check reflection, both introspection schemes, distributivity, and
-    necessitation over the frame's partitions.  Closed mode only.
-
-    Partition semantics on the frame's mask view: the ground is numbered in
-    `State.sort_key` order, every base formula (propositional, depth <=
-    `depth`, over the first two shared predicates) becomes the mask of the
-    states where it holds, and agent i knows E at w when w's information
-    class lies inside E, K_i(E) = {w : class_i(w) <= E}.  The base events
-    come from truth tables over the cube of the base predicates, evaluated
-    once per (base predicates, depth) and cached, then projected onto the
-    ground.  Each scheme is checked on the masks of the distinct base events;
-    a failure reports the first failing instance's formula and its minimum
-    state."""
+    necessitation over the frame's partitions (closed mode only), on the
+    events of the base formulas (`_base_events`): agent i knows E at w when
+    w's class, one of the class masks built per call, lies inside E.  A
+    failure reports the first failing instance's formula and minimum state."""
     if not frame.closed:
         raise NotClosedMode("agents must share one predicate set")
-    view = frame.masks()
-    events = _base_events(view.trues, frame.shared_predicates, depth)
-    pairs = {i: [(c, c) for c in view.classes[i]] for i in frame.agents}
-    return _validate_schemes(view.states, pairs, frame.agents, events)
+    events = _base_events(frame.trues, frame.shared_predicates, depth)
+    pairs = {i: [(c, c) for c in _class_masks(*frame.classes[i])] for i in frame.agents}
+    states = frame.states(range(len(frame.trues)))
+    return _validate_schemes(states, pairs, frame.agents, events)
 
 
 def validate_relation(ground, relation: dict, agents, predicates, depth: int):
-    """Debug entry point: run the same scheme checks over an arbitrary
-    accessibility relation (state -> state set) shared by the given agents.
-    Non-partition relations are expected to fail introspection.  The
-    relation must map exactly the ground states, into the ground, and every
-    predicate must lie in each ground state's domain; anything else raises
-    GroundMismatch naming the state or the predicate."""
+    """Debug entry point: the same scheme checks over an arbitrary relation
+    (state -> state set) shared by the agents; non-partition relations are
+    expected to fail introspection.  A relation that does not map exactly
+    the ground states into the ground, or a predicate outside a ground
+    state's domain, raises GroundMismatch naming the state or predicate."""
     ground = frozenset(ground)
     predicates = frozenset(predicates)
     states = sorted(ground, key=State.sort_key)

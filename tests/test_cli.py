@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -82,6 +83,16 @@ def test_check_bad_frame_exit_2(tmp_path):
      "error: partitions.1: state '11' lies outside the ground"),
     ({**FRAME, "partitions": {"1": [["00", "0"], ["10", "11"]]}},
      "error: partitions.1[0]: expected 2 bits, got '0'"),
+    # each agent's classes partition the ground, and the ground names a state once
+    ({**FRAME, "partitions": {"1": [["00", "00", "01"], ["10", "11"]]}},
+     "error: partitions.1[0]: repeats state '00'"),
+    ({**FRAME, "ground": ["00", "00", "01", "10", "11"]}, "error: ground: repeats state '00'"),
+    ({**FRAME, "partitions": {"1": [["00", "01"], ["01", "10", "11"]]}},
+     "error: partitions.1: state '01' lies in classes 0 and 1"),
+    ({**FRAME, "partitions": {"1": [["00", "01"], ["11"]]}},
+     "error: partitions.1: state '10' lies in no class"),
+    ({**FRAME, "partitions": {"1": [["00", "01"], [], ["10", "11"]]}},
+     "error: partitions.1[1]: empty partition class"),
 ])
 def test_check_rejects_bad_frame_field(tmp_path, frame, message):
     path = tmp_path / "f.json"
@@ -94,12 +105,13 @@ def test_check_rejects_bad_frame_field(tmp_path, frame, message):
 def test_frame_over_cube_limit_exit_2(tmp_path, monkeypatch):
     from oee import frames, multiagent
     from oee.harness import SchemaError
+    from oee.universe import State
 
     def no_states(*args):
         raise AssertionError("a state was built")
 
-    monkeypatch.setattr(multiagent, "State", no_states)
-    monkeypatch.setattr(frames, "State", no_states)
+    # every State construction, in any module, runs this hook
+    monkeypatch.setattr(State, "__post_init__", no_states)
     frame = tmp_path / "f.json"
     predicates = list(range(multiagent.MAX_CUBE_PREDICATES + 1))
     bits = "0" * len(predicates)
@@ -109,6 +121,59 @@ def test_frame_over_cube_limit_exit_2(tmp_path, monkeypatch):
     result = invoke("check", "--frame", str(frame), "--formula", "p0", "--at", bits)
     assert result.exit_code == 2
     assert "limit of 16" in result.output or "limit of 16" in (result.stderr or "")
+
+
+def _frame_scale():
+    """`scripts/frame_scale.py`, imported as a module."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "frame_scale.py"
+    spec = importlib.util.spec_from_file_location("frame_scale", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_frame_scale_frames_load(tmp_path):
+    """The measured frames are valid frame files: agent 1 singletons, agent
+    2 adjacent pairs, agents 3 and 4 singletons."""
+    from oee.frames import load_frame
+
+    scale = _frame_scale()
+    for agents in (2, 4):
+        frame = load_frame(scale.write_frame(tmp_path / f"f{agents}.json", 4, agents))
+        assert frame.agents == tuple(range(1, agents + 1))
+        assert len(frame.trues) == 16
+        assert [frame.classes[i][1] for i in frame.agents] == \
+            [(1,) * 16, (2,) * 8] + [(1,) * 16] * (agents - 2)
+        assert max(frame.meet_labels) == 7  # the meet is agent 2's pairs
+
+
+def test_frame_queries_build_only_the_states_they_return(tmp_path, monkeypatch):
+    """On a 2^10 frame, loading the frame and an event and checking agreement
+    on a mask event build no State; common knowledge builds exactly the
+    states of its FailsAt."""
+    from oee.formula import parse
+    from oee.frames import load_event, load_frame, state_from_bits
+    from oee.multiagent import FailsAt, agreement_check, common_knowledge
+    from oee.universe import State
+
+    built = []
+    init = State.__post_init__
+    monkeypatch.setattr(State, "__post_init__", lambda w: built.append(init(w) or w))
+    at = state_from_bits("0" * 10, range(10))
+    built.clear()
+    frame = load_frame(_frame_scale().write_frame(tmp_path / "f.json", 10))
+    event = tmp_path / "e.json"
+    for document, posteriors in (({"formula": "p0 | p1"}, {1: 0, 2: 0}),
+                                 ({"states": ["0" * 10, "1" * 10]}, {1: 1, 2: Fraction(1, 2)})):
+        event.write_text(json.dumps(document))
+        assert agreement_check(frame, load_event(event, frame), at).posteriors == posteriors
+    assert built == []
+    result = common_knowledge(frame, parse("p0 | p1"), at)
+    assert isinstance(result, FailsAt) and len(result.states) == 2
+    assert sorted(w.bits() for w in built) == ["0" * 10, "0" * 9 + "1"]
 
 
 @pytest.mark.parametrize("overrides, path, limit", [

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from frame_references import class_of
+
 from oee.epistemics import (
     DomainError,
     EmptyModel,
@@ -162,7 +164,7 @@ def test_partition_validates():
 
 def test_partition_generic_over_ints():
     p = partition_from_classes({1, 2, 3, 4}, [{1, 2}, {3, 4}])
-    assert p.class_of(3) == frozenset({3, 4})
+    assert class_of(p, 3) == frozenset({3, 4})
 
 
 def class_key(cls: frozenset):

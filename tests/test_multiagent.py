@@ -1,10 +1,12 @@
 import time
+from array import array
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from frame_references import class_of, coarsen_onto, knowledge_event, merged, \
+    meet as reference_meet, posterior as reference_posterior, shared_partitions
 from oee.epistemics import agent_state, partition_from_classes
 from oee.formula import parse
 from oee.multiagent import (
@@ -14,14 +16,11 @@ from oee.multiagent import (
     Holds,
     Infeasible,
     NotClosedMode,
-    _coarsen_onto,
-    _merged,
     agreement_check,
     build_shared_frame,
     common_knowledge,
     frame_from_partitions,
     full_cube,
-    knowledge_event,
     meet,
     posterior,
     validate_relation,
@@ -32,6 +31,29 @@ from oee.universe import State, Theory, clause, unit
 
 def ints_partition(ground, classes):
     return partition_from_classes(ground, classes)
+
+
+def ordered(ground):
+    """The ground in the engine's position order."""
+    return sorted(ground, key=lambda e: e.sort_key() if isinstance(e, State) else (e,))
+
+
+def labelled(p):
+    """A partition as (labels, class sizes) over its ordered ground: the
+    label of each element is the index of its class."""
+    labels = array("l", [p.classes.index(class_of(p, e)) for e in ordered(p.ground)])
+    return labels, tuple(len(c) for c in p.classes)
+
+
+def label_meet(partitions):
+    """The label `meet` of partitions over one ground, read back as a
+    partition."""
+    ground = ordered(partitions[0].ground)
+    labels = meet([labelled(p)[0] for p in partitions])
+    classes = {}
+    for e, c in zip(ground, labels):
+        classes.setdefault(c, set()).add(e)
+    return partition_from_classes(ground, classes.values())
 
 
 def state(predicates, true):
@@ -46,7 +68,7 @@ def states_of(bits_list, predicates=(0, 1)):
     )
 
 
-# --- knowledge_event ---------------------------------------------------------
+# --- knowledge_event (the frozenset reference) ------------------------------
 
 def test_knowledge_event_basic():
     p = ints_partition({1, 2, 3, 4}, [{1, 2}, {3, 4}])
@@ -96,21 +118,28 @@ def meet_oracle(partitions):
 def test_meet_example():
     a = ints_partition({1, 2, 3, 4}, [{1, 2}, {3, 4}])
     b = ints_partition({1, 2, 3, 4}, [{1}, {2, 3}, {4}])
-    assert meet([a, b]).classes == (frozenset({1, 2, 3, 4}),)
+    assert label_meet([a, b]).classes == (frozenset({1, 2, 3, 4}),)
+    assert meet([labelled(a)[0], labelled(b)[0]]) == array("l", [0, 0, 0, 0])
+    assert reference_meet([a, b]).classes == (frozenset({1, 2, 3, 4}),)
 
 
 def test_meet_idempotent_and_discrete():
     p = ints_partition({1, 2, 3, 4}, [{1, 2}, {3, 4}])
     discrete = ints_partition({1, 2, 3, 4}, [{1}, {2}, {3}, {4}])
-    assert meet([p, p]) == p
-    assert meet([p, discrete]) == p
+    for the_meet in (label_meet, reference_meet):
+        assert the_meet([p, p]) == p
+        assert the_meet([p, discrete]) == p
 
 
 def test_meet_ground_mismatch():
     a = ints_partition({1, 2}, [{1, 2}])
     b = ints_partition({1, 3}, [{1, 3}])
     with pytest.raises(GroundMismatch):
-        meet([a, b])
+        reference_meet([a, b])
+    with pytest.raises(GroundMismatch):
+        meet([array("l", [0, 0]), array("l", [0, 0, 1])])
+    with pytest.raises(ValueError, match="zero"):
+        meet([])
 
 
 def all_partitions(items):
@@ -135,7 +164,8 @@ def test_meet_matches_union_find_oracle():
     for _ in range(200):
         a = parts[rng.randrange(len(parts))]
         b = parts[rng.randrange(len(parts))]
-        assert meet([a, b]) == meet_oracle([a, b])
+        assert label_meet([a, b]) == meet_oracle([a, b])
+        assert reference_meet([a, b]) == meet_oracle([a, b])
 
 
 def merged_reference(classes):
@@ -154,11 +184,11 @@ def merged_reference(classes):
 
 @given(st.lists(st.sets(st.integers(0, 15), min_size=1, max_size=4), max_size=12))
 def test_merged_matches_the_fusing_loop(classes):
-    assert sorted(map(sorted, _merged(classes))) == sorted(map(sorted, merged_reference(classes)))
+    assert sorted(map(sorted, merged(classes))) == sorted(map(sorted, merged_reference(classes)))
 
 
 def coarsen_oracle(ground, classes):
-    """Union-find reference for `_coarsen_onto`: the overlap components of
+    """Union-find oracle for the reference `coarsen_onto`: the overlap components of
     the classes cut to the ground, plus one class of the uncovered states."""
     uf = UnionFind(ground)
     covered = set()
@@ -177,7 +207,7 @@ def coarsen_oracle(ground, classes):
 @given(st.lists(st.sets(st.integers(0, 9), max_size=3), max_size=6))
 def test_coarsen_onto_matches_union_find_oracle(classes):
     ground = frozenset(range(8))
-    assert _coarsen_onto(ground, classes) == coarsen_oracle(ground, classes)
+    assert coarsen_onto(ground, classes) == coarsen_oracle(ground, classes)
 
 
 def test_meet_laws():
@@ -188,11 +218,12 @@ def test_meet_laws():
     rng = SplitMix64(13)
     for _ in range(60):
         a, b, c = (parts[rng.randrange(len(parts))] for _ in range(3))
-        assert meet([a, b]) == meet([b, a])
-        assert meet([meet([a, b]), c]) == meet([a, meet([b, c])]) == meet([a, b, c])
-        assert meet([a, a]) == a
+        assert label_meet([a, b]) == label_meet([b, a])
+        assert label_meet([label_meet([a, b]), c]) == label_meet([a, label_meet([b, c])]) \
+            == label_meet([a, b, c])
+        assert label_meet([a, a]) == a
         e = frozenset({1, 3})
-        ke_meet = knowledge_event(meet([a, b]), e)
+        ke_meet = knowledge_event(label_meet([a, b]), e)
         assert ke_meet <= knowledge_event(a, e)
         assert ke_meet <= knowledge_event(b, e)
 
@@ -241,9 +272,11 @@ def test_common_knowledge_ground_mismatch():
 
 def test_posterior_example():
     p = ints_partition({1, 2, 3, 4}, [{1, 2}, {3, 4}])
-    assert posterior(p, {1, 4}, 1) == Fraction(1, 2)
-    assert posterior(p, {1, 2, 3, 4}, 3) == 1
-    assert posterior(p, {3}, 1) == 0
+    classes = labelled(p)  # positions 0..3 hold 1..4
+    assert posterior(classes, [0, 3], 0) == Fraction(1, 2)
+    assert posterior(classes, [0, 1, 2, 3], 2) == 1
+    assert posterior(classes, [2], 0) == 0
+    assert reference_posterior(p, {1, 4}, 1) == Fraction(1, 2)
 
 
 @st.composite
@@ -266,12 +299,13 @@ def partitioned_queries(draw):
 @given(partitioned_queries())
 def test_posterior_is_the_interned_class_ratio(query):
     p, event, at = query
-    cls = next(c for c in p.classes if at in c)
-    value = posterior(p, event, at)
+    ground = ordered(p.ground)
+    hits = [ground.index(e) for e in event]
+    value = posterior(labelled(p), hits, ground.index(at))
     assert type(value) is Fraction
-    assert value == Fraction(len(event & cls), len(cls))
+    assert value == reference_posterior(p, event, at)
     # equal counts share one Fraction
-    assert posterior(p, set(event), at) is value
+    assert posterior(labelled(p), hits[::-1], ground.index(at)) is value
 
 
 def test_agreement_reads_every_agent():
@@ -290,7 +324,7 @@ def test_agreement_reads_every_agent():
 def test_posterior_ground_mismatch():
     p = ints_partition({1, 2}, [{1, 2}])
     with pytest.raises(GroundMismatch):
-        posterior(p, {9}, 1)
+        reference_posterior(p, {9}, 1)
 
 
 def test_agreement_discrete_trivial():
@@ -318,14 +352,14 @@ def test_aumann_agreement_small_exhaustive():
         p2 = parts[rng.randrange(len(parts))]
         event = events[rng.randrange(len(events))]
         at = rng.choice(sorted(ground))
-        post = {1: posterior(p1, event, at), 2: posterior(p2, event, at)}
+        post = {1: reference_posterior(p1, event, at), 2: reference_posterior(p2, event, at)}
         profile_event = frozenset(
             w
             for w in ground
-            if posterior(p1, event, w) == post[1] and posterior(p2, event, w) == post[2]
+            if reference_posterior(p1, event, w) == post[1]
+            and reference_posterior(p2, event, w) == post[2]
         )
-        the_meet = meet([p1, p2])
-        if the_meet.class_of(at) <= profile_event:
+        if class_of(label_meet([p1, p2]), at) <= profile_event:
             assert post[1] == post[2]
 
 
@@ -335,6 +369,20 @@ def test_s5_holds_on_partition_frames():
     frame = closed_frame()
     for report in validate_s5(frame, 2):
         assert report.ok, report
+
+
+def test_build_shared_frame_merges_overlapping_projections():
+    """Agent 2's classes (by its observation of p4) project onto {00, 01}
+    and {01}: they share 01, so the projections merge into one class, and
+    the shared states no class hits (1x) form the residual class."""
+    a = agent_state(1, Theory(frozenset({0, 1}), ()))
+    b = agent_state(2, Theory(frozenset({0, 1, 4}), (clause((4, False), (1, True)), unit(0, False))),
+                    [(4, True)])
+    frame = build_shared_frame([a, b])
+    assert not frame.closed
+    assert frame.partition_of(2) == shared_partitions([a, b])[2]
+    assert sorted(sorted(w.bits() for w in cls) for cls in frame.partition_of(2).classes) == \
+        [["00", "01"], ["10", "11"]]
 
 
 def test_s5_requires_closed_mode():
