@@ -313,73 +313,97 @@ def _class_masks(labels, sizes) -> list[int]:
 
 def _knowledge_mask(pairs, event: int) -> int:
     """K(E) = {w : succ(w) <= E}: the sources whose successors lie inside E."""
+    outside = ~event
     out = 0
     for sources, successors in pairs:
-        if not successors & ~event:
+        if not successors & outside:
             out |= sources
     return out
 
 
-def _validate_schemes(states, pairs, agents, events) -> list[SchemeReport]:
-    """Every scheme instance over the distinct base events, given as (event
-    mask, first witness formula) pairs, the ground in `State.sort_key` order
-    and, per agent, the (sources, successors) pairs of `_knowledge_mask` (bit
-    k for `states[k]`), so that the lowest failing bit is the minimum
-    counterexample state."""
-    full = (1 << len(states)) - 1
-    known: dict = {i: {} for i in agents}
+class _Knowledge(dict):
+    """One agent's K memoised over event masks: `K[event]` is
+    `_knowledge_mask(pairs, event)`, computed at its first use."""
 
-    def know(i, event):
-        memo = known[i]
-        out = memo.get(event)
-        if out is None:
-            out = memo[event] = _knowledge_mask(pairs[i], event)
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs):
+        super().__init__()
+        self.pairs = pairs
+
+    def __missing__(self, event: int) -> int:
+        out = self[event] = _knowledge_mask(self.pairs, event)
         return out
 
+
+def _validate_schemes(size, state, pairs, agents, events) -> list[SchemeReport]:
+    """Every scheme instance over the distinct base events, given as (event
+    mask, first witness formula) pairs over a ground of `size` positions in
+    `State.sort_key` order, where agent i's K is `_knowledge_mask` over its
+    (sources, successors) pairs (bit k for position k).
+
+    Per agent, one memo of K over event masks and the list of K of each base
+    event serve all five schemes.  Each scheme is one scan over agents, then
+    e (then d), in that order, that stops at its first failing instance; the
+    lowest bit of its failure mask is the minimum counterexample, and
+    `state(k)` builds its State, the only one built."""
+    full = (1 << size) - 1
+    tables = []  # per agent: (id, memo of K, K of each base event)
+    for i in agents:
+        know = _Knowledge(pairs[i])
+        tables.append((i, know, [know[e] for e, _ in events]))
+
+    def reflection():
+        for i, _, known in tables:
+            for (e, f), ke in zip(events, known):
+                if bad := ke & ~e:
+                    return bad, Know(i, f)
+
+    def positive_introspection():
+        for i, know, known in tables:
+            for (e, f), ke in zip(events, known):
+                if bad := ke & ~know[ke]:
+                    return bad, Know(i, f)
+
+    def negative_introspection():
+        for i, know, known in tables:
+            for (e, f), ke in zip(events, known):
+                unknown = full & ~ke
+                if bad := unknown & ~know[unknown]:
+                    return bad, Know(i, f)
+
+    def distributivity():
+        witness = dict(events)
+        for i, know, known in tables:
+            complements = [(d, ~kd) for (d, _), kd in zip(events, known)]
+            for (e, f), ke in zip(events, known):
+                not_e = full & ~e
+                for d, not_kd in complements:
+                    # K(~e | d) & K(e) & ~K(d) is zero wherever K(e) & ~K(d) is
+                    if (lost := ke & not_kd) and (bad := know[not_e | d] & lost):
+                        return bad, Implies(f, witness[d])
+
+    def necessitation():
+        for i, _, known in tables:
+            for (e, f), ke in zip(events, known):
+                if e == full and (bad := full & ~ke):
+                    return bad, Know(i, f)
+
     reports = []
-
-    def check(name, failures, witness=lambda i, f, g: Know(i, f)):
-        for bad, i, f, g in failures:
-            if bad:
-                state = states[(bad & -bad).bit_length() - 1]
-                reports.append(SchemeReport(name, False, (render(witness(i, f, g)), state)))
-                return
-        reports.append(SchemeReport(name, True))
-
-    check(
-        "reflection",
-        ((know(i, e) & ~e, i, f, None) for i in agents for e, f in events),
-    )
-    check(
-        "positive-introspection",
-        ((know(i, e) & ~know(i, know(i, e)), i, f, None) for i in agents for e, f in events),
-    )
-    check(
-        "negative-introspection",
-        (
-            (full & ~know(i, e) & ~know(i, full & ~know(i, e)), i, f, None)
-            for i in agents
-            for e, f in events
-        ),
-    )
-    check(
-        "distributivity",
-        (
-            (know(i, (full & ~e) | d) & know(i, e) & ~know(i, d), i, f, g)
-            for i in agents
-            for e, f in events
-            for d, g in events
-        ),
-        lambda i, f, g: Implies(f, g),
-    )
-    check(
-        "necessitation",
-        (
-            (full & ~know(i, e) if e == full else 0, i, f, None)
-            for i in agents
-            for e, f in events
-        ),
-    )
+    for name, scan in (
+        ("reflection", reflection),
+        ("positive-introspection", positive_introspection),
+        ("negative-introspection", negative_introspection),
+        ("distributivity", distributivity),
+        ("necessitation", necessitation),
+    ):
+        failure = scan()
+        if failure is None:
+            reports.append(SchemeReport(name, True))
+        else:
+            bad, witness = failure
+            reports.append(SchemeReport(
+                name, False, (render(witness), state((bad & -bad).bit_length() - 1))))
     return reports
 
 
@@ -410,18 +434,21 @@ def _base_events(trues, predicates, depth: int) -> list[tuple[int, Formula]]:
     each with its first witness formula, in enumeration order.  Every scheme
     is extensional, so these events stand for all the base formulas."""
     preds = tuple(sorted(predicates)[:2])
-    tables = _cube_tables(preds, depth)
-    # the ground mask of each cube code: bit k set when state k has that code
-    at_code = [0] * (1 << len(preds))
+    keep = predicate_mask(preds)
+    # the cube code of each true-mask over preds, and the ground mask of each
+    # code: bit k set when state k has that code
+    code = {sum(1 << p for j, p in enumerate(preds) if c >> j & 1): c
+            for c in range(1 << len(preds))}
+    at_code = [0] * len(code)
     for k, t in enumerate(trues):
-        at_code[sum((t >> p & 1) << j for j, p in enumerate(preds))] |= 1 << k
+        at_code[code[t & keep]] |= 1 << k
+    # the ground mask of every table: the union of its codes' masks
+    projected = [0]
+    for ground in at_code:
+        projected += [event | ground for event in projected]
     witnesses: dict = {}
-    for table, f in tables:
-        event = 0
-        for c, ground in enumerate(at_code):
-            if table >> c & 1:
-                event |= ground
-        witnesses.setdefault(event, f)
+    for table, f in _cube_tables(preds, depth):
+        witnesses.setdefault(projected[table], f)
     return list(witnesses.items())
 
 
@@ -429,14 +456,17 @@ def validate_s5(frame: SharedFrame, depth: int) -> list[SchemeReport]:
     """Check reflection, both introspection schemes, distributivity, and
     necessitation over the frame's partitions (closed mode only), on the
     events of the base formulas (`_base_events`): agent i knows E at w when
-    w's class, one of the class masks built per call, lies inside E.  A
-    failure reports the first failing instance's formula and minimum state."""
+    w's class, one of the class masks built per call from the labels, lies
+    inside E.  `_validate_schemes` keeps one K table per agent for all five
+    schemes.  A failure reports the first failing instance's formula and
+    minimum state, the one State built per failing scheme; a frame where
+    every scheme holds builds none."""
     if not frame.closed:
         raise NotClosedMode("agents must share one predicate set")
     events = _base_events(frame.trues, frame.shared_predicates, depth)
     pairs = {i: [(c, c) for c in _class_masks(*frame.classes[i])] for i in frame.agents}
-    states = frame.states(range(len(frame.trues)))
-    return _validate_schemes(states, pairs, frame.agents, events)
+    return _validate_schemes(len(frame.trues), lambda k: frame.states((k,))[0], pairs,
+                             frame.agents, events)
 
 
 def validate_relation(ground, relation: dict, agents, predicates, depth: int):
@@ -468,4 +498,5 @@ def validate_relation(ground, relation: dict, agents, predicates, depth: int):
     index = {w: k for k, w in enumerate(states)}
     pairs = [(1 << k, sum(1 << index[v] for v in set(relation[w]))) for k, w in enumerate(states)]
     events = _base_events([sum(1 << p for p in w.true) for w in states], predicates, depth)
-    return _validate_schemes(states, {i: pairs for i in agents}, tuple(agents), events)
+    return _validate_schemes(len(states), states.__getitem__, {i: pairs for i in agents},
+                             tuple(agents), events)

@@ -7,6 +7,13 @@ engine evaluates the base formulas once per (base predicates, depth) to truth
 tables over the cube, projects them onto the ground as bitmasks and applies
 the knowledge operator to masks; these tests hold it to the same reports,
 counterexamples included.
+
+A correct K never fails distributivity, and the agents of a relation share
+one relation, so those checks leave part of the scan unexercised.
+`reference_scan` generates every instance's failure mask in scheme order,
+with no early exit inside an instance; it and the engine run under planted
+K operators that differ per agent and are not monotone, and must give the
+same reports.
 """
 
 import pytest
@@ -122,6 +129,67 @@ def reference_validate_schemes(ground, access, agents, base_formulas):
     return reports
 
 
+def reference_scan(states, pairs, agents, events):
+    """Every scheme instance as a (failure mask, agent, f, g) tuple from a
+    generator, K of each argument from `multiagent._knowledge_mask` through
+    one memo per agent; the first nonzero mask gives the report."""
+    full = (1 << len(states)) - 1
+    known: dict = {i: {} for i in agents}
+
+    def know(i, event):
+        memo = known[i]
+        out = memo.get(event)
+        if out is None:
+            out = memo[event] = multiagent._knowledge_mask(pairs[i], event)
+        return out
+
+    reports = []
+
+    def check(name, failures, witness=lambda i, f, g: Know(i, f)):
+        for bad, i, f, g in failures:
+            if bad:
+                state = states[(bad & -bad).bit_length() - 1]
+                reports.append(SchemeReport(name, False, (render(witness(i, f, g)), state)))
+                return
+        reports.append(SchemeReport(name, True))
+
+    check(
+        "reflection",
+        ((know(i, e) & ~e, i, f, None) for i in agents for e, f in events),
+    )
+    check(
+        "positive-introspection",
+        ((know(i, e) & ~know(i, know(i, e)), i, f, None) for i in agents for e, f in events),
+    )
+    check(
+        "negative-introspection",
+        (
+            (full & ~know(i, e) & ~know(i, full & ~know(i, e)), i, f, None)
+            for i in agents
+            for e, f in events
+        ),
+    )
+    check(
+        "distributivity",
+        (
+            (know(i, (full & ~e) | d) & know(i, e) & ~know(i, d), i, f, g)
+            for i in agents
+            for e, f in events
+            for d, g in events
+        ),
+        lambda i, f, g: Implies(f, g),
+    )
+    check(
+        "necessitation",
+        (
+            (full & ~know(i, e) if e == full else 0, i, f, None)
+            for i in agents
+            for e, f in events
+        ),
+    )
+    return reports
+
+
 def reference_validate_s5(frame, depth):
     access = {
         i: {w: cls for cls in frame.partition_of(i).classes for w in cls}
@@ -196,6 +264,65 @@ def test_validate_relation_matches_reference(case, depth):
     ground, relation, agents, predicates = case
     assert validate_relation(ground, relation, agents, predicates, depth) == \
         reference_validate_relation(ground, relation, agents, predicates, depth)
+
+
+@st.composite
+def planted(draw):
+    """A frame, a depth and, per agent, a planted K: the partition's K with
+    the bits of a drawn mask flipped on the events whose residue mod a drawn
+    modulus is a drawn value, so that it fails schemes and is not monotone."""
+    frame = draw(frames())
+    full = (1 << len(frame.trues)) - 1
+    plants = {i: (draw(st.integers(0, full)), draw(st.integers(2, 5)), draw(st.integers(0, 4)))
+              for i in frame.agents}
+    return frame, draw(st.integers(0, 2)), plants
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted())
+def test_scheme_scan_matches_reference_scan_with_planted_operators(case):
+    """With a different, non-monotone K per agent, the engine's scan and
+    `reference_scan` report the same first failure of every scheme."""
+    frame, depth, plants = case
+    true_knowledge = multiagent._knowledge_mask
+
+    def planted_knowledge(tagged, event):
+        i, pairs = tagged
+        flips, modulus, residue = plants[i]
+        out = true_knowledge(pairs, event)
+        return out ^ flips if event % modulus == residue else out
+
+    states = frame.states(range(len(frame.trues)))
+    events = multiagent._base_events(frame.trues, frame.shared_predicates, depth)
+    pairs = {i: (i, [(c, c) for c in multiagent._class_masks(*frame.classes[i])])
+             for i in frame.agents}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multiagent, "_knowledge_mask", planted_knowledge)
+        assert multiagent._validate_schemes(len(states), states.__getitem__, pairs,
+                                            frame.agents, events) == \
+            reference_scan(states, pairs, frame.agents, events)
+
+
+def test_validate_s5_builds_states_only_for_counterexamples(monkeypatch):
+    """Where every scheme holds, `validate_s5` builds no State; under a
+    planted K it builds one per failing scheme, its counterexample."""
+    ground = sorted(full_cube({0, 1, 2}), key=State.sort_key)
+    frame = frame_from_partitions({0, 1, 2}, ground, {
+        1: partition_from_classes(ground, [ground[:3], ground[3:]]),
+        2: partition_from_classes(ground, [[w] for w in ground]),
+    })
+    built = []
+
+    def counted(*args):
+        built.append(State(*args))
+        return built[-1]
+
+    monkeypatch.setattr(multiagent, "State", counted)
+    assert all(r.ok for r in validate_s5(frame, 2)) and built == []
+    monkeypatch.setattr(multiagent, "_knowledge_mask", lambda pairs, event: ~event & 0xff)
+    reports = validate_s5(frame, 2)
+    failing = [r for r in reports if not r.ok]
+    assert failing and [r.counterexample[1] for r in failing] == built
 
 
 def test_validate_s5_evaluates_base_formulas_once(monkeypatch):
