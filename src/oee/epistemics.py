@@ -147,12 +147,19 @@ def information_partition(agent: AgentState) -> Partition:
     return partition_from_classes(frozenset().union(*groups.values()), groups.values())
 
 
+def adjacent_masks(before: Theory, after: Theory):
+    """The true-masks of the models of `after` that `before` did not admit:
+    all of them when the predicate sets differ, else those `before` lacks."""
+    new = _models(after)
+    if before.mask == after.mask:
+        return set(new).difference(_models(before))
+    return new
+
+
 def adjacent_possible(before: AgentState, after: AgentState) -> frozenset[State]:
-    """𝒜: states admissible now that were not admissible before: all models of
-    `after` when the predicate sets differ, else those that `before` lacks."""
+    """𝒜: states admissible now that were not admissible before, the
+    `adjacent_masks` of the two theories as states."""
     if before.id != after.id:
         raise ValueError("adjacent_possible compares one agent across epochs")
-    new = _models(after.theory)
-    if before.theory.mask == after.theory.mask:
-        new = set(new).difference(_models(before.theory))
-    return frozenset(State(after.predicates, frozenset(mask_bits(m))) for m in new)
+    return frozenset(State(after.predicates, frozenset(mask_bits(m)))
+                     for m in adjacent_masks(before.theory, after.theory))

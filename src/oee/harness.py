@@ -20,8 +20,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .epistemics import AgentState, Truth3, adjacent_possible, agent_state, decide, \
-    truth_of_mask
+# the benchmark's tracer wraps `adjacent_possible` under this module's name; the
+# run loop counts the `adjacent_masks` of each revision without building states
+from .epistemics import AgentState, Truth3, adjacent_masks, adjacent_possible, agent_state, \
+    decide, truth_of_mask
 from .formula import MAX_SENTENCES, enumerate_sentences, event_mask, render, sentence_count
 from .revision import RevisionStrategy, StrategyKind, classify_extension, revise
 from .rng import mix
@@ -79,9 +81,28 @@ MAX_INITIAL_PREDICATES = 20_000
 MAX_SENTENCE_TYPES = 600_000
 
 
+# The most digits a scenario rational may expand to: the length of its text
+# plus its decimal exponent; every float's text expands to at most 17 + 324.
+# Draws multiply by the denominator, so a long one slows every tick: at
+# "1e-1000000" parsing took 0.35 s and a 20-tick one-agent run 0.056 s, against
+# 0.002 s at "1/32", and "1e-10000000" took 7-12 s to parse (2 vCPUs).
+MAX_RATIONAL_DIGITS = 1_000
+
+
 def _fraction(value, path: str) -> Fraction:
+    text = str(value)
+    digits = len(text)
+    _, e, exponent = text.lower().partition("e")
+    if e and digits <= MAX_RATIONAL_DIGITS:
+        try:
+            digits += abs(int(exponent))
+        except ValueError:
+            pass  # not a decimal exponent: `Fraction` refuses the text
+    if digits > MAX_RATIONAL_DIGITS:
+        raise SchemaError(path, f"expands past the limit of {MAX_RATIONAL_DIGITS:,} digits "
+                                f"(harness.MAX_RATIONAL_DIGITS)")
     try:
-        return Fraction(str(value))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise SchemaError(path, f"not a rational: {value!r}")
 
@@ -337,10 +358,20 @@ def coverage_fraction(agent: AgentState, revealed: frozenset[int], actual: State
 # --- run engine --------------------------------------------------------------
 
 
-def _jaccard(a: frozenset, b: frozenset) -> Fraction:
-    if not a and not b:
-        return Fraction(1)
-    return Fraction(len(a & b), len(a | b))
+def _disjointness(languages) -> list[str | None]:
+    """Per agent, the mean Jaccard similarity of its predicate set with each
+    other agent's, as text, from the sets' masks; None for a lone agent."""
+    if len(languages) == 1:
+        return [None]
+    out = []
+    for i, a in enumerate(languages):
+        total = Fraction(0)
+        for j, b in enumerate(languages):
+            if j != i:
+                union = (a | b).bit_count()
+                total += Fraction((a & b).bit_count(), union) if union else 1
+        out.append(str(total / (len(languages) - 1)))
+    return out
 
 
 def run_full(scenario: Scenario, replicate: int) -> RunResult:
@@ -358,6 +389,10 @@ def run_full(scenario: Scenario, replicate: int) -> RunResult:
     }
     # `revise` records the digest of every theory it moves to in the history
     empty_digest = empty_theory().digest()
+    seeds = [(spec, mix(scenario.seed, replicate, spec.id)) for spec in scenario.agents]
+    # the agents' predicate masks and their disjointness texts, recomputed
+    # only on a tick that changes some agent's predicate set
+    languages = disjointness = None
     seq = 0
 
     def emit(tick, kind, agent, payload):
@@ -382,8 +417,7 @@ def run_full(scenario: Scenario, replicate: int) -> RunResult:
                 "retracted": [c.render() for c in event.retracted],
             })
         per_agent_revision: dict[int, tuple] = {}
-        for spec in scenario.agents:
-            aseed = mix(scenario.seed, replicate, spec.id)
+        for spec, aseed in seeds:
             niche = spec.niche & g.revealed_predicates
             obs = g.observe(niche, spec.visibility, aseed, salt=0)
             if spec.strategy.kind is not StrategyKind.DEDUCTIVE:
@@ -396,34 +430,28 @@ def run_full(scenario: Scenario, replicate: int) -> RunResult:
             before = agents[spec.id]
             after = revise(before, obs, spec.strategy)
             if after.theory != before.theory:
-                adjacent = adjacent_possible(before, after)
+                adjacent = len(adjacent_masks(before.theory, after.theory))
                 extension = classify_extension(before.theory, after.theory)
-                per_agent_revision[spec.id] = (extension, len(adjacent))
+                per_agent_revision[spec.id] = (extension, adjacent)
                 emit(tick, "revision", spec.id, {
                     "old": before.history[-1][0] if before.history else empty_digest,
                     "new": after.history[-1][0],
                     "extension": extension.value,
-                    "adjacent": len(adjacent),
+                    "adjacent": adjacent,
                 })
             agents[spec.id] = after
-        for spec in scenario.agents:
+        masks = [agents[spec.id].theory.mask for spec in scenario.agents]
+        if masks != languages:
+            languages, disjointness = masks, _disjointness(masks)
+        for spec, shared in zip(scenario.agents, disjointness):
             state = agents[spec.id]
             coverage = coverage_fraction(
                 state, g.revealed_predicates, g.actual, scenario.run.depth
             )
-            others = [agents[s.id] for s in scenario.agents if s.id != spec.id]
-            if others:
-                disjointness = sum(
-                    (_jaccard(state.predicates, o.predicates) for o in others),
-                    Fraction(0),
-                ) / len(others)
-                disjointness_str = str(disjointness)
-            else:
-                disjointness_str = None
             extension, adjacent = per_agent_revision.get(spec.id, (None, 0))
             emit(tick, "metrics", spec.id, {
                 "coverage": str(coverage),
-                "disjointness": disjointness_str,
+                "disjointness": shared,
                 "adjacent": adjacent,
                 "extension": extension.value if extension else None,
             })

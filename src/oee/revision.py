@@ -11,7 +11,7 @@ adopts none.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from math import comb
@@ -278,10 +278,12 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
                 )
             if consistent:
                 candidates.append(falsified.union(extra))
+        # one candidate makes one theory, so a search for one stops at its
+        # first consistent level without building any
         if len(candidates) >= REPAIR_BREADTH or (
             deductive
             and len(candidates) >= budget
-            and len({kept(r) for r in candidates}) >= budget
+            and (budget == 1 or len({kept(r) for r in candidates}) >= budget)
         ):
             break
 
@@ -374,7 +376,7 @@ def revise(agent: AgentState, observations, strategy: RevisionStrategy) -> Agent
     history = agent.history
     if theory != old_theory:
         history = history + ((theory.digest(), len(theory.predicates)),)
-    return replace(agent, theory=theory, observations=obs, history=history)
+    return AgentState(agent.id, theory, obs, history)
 
 
 def classify_extension(old: Theory, new: Theory) -> ExtensionClass:

@@ -28,15 +28,17 @@ def fold(h: int, v: int) -> int:
     return _finalize((h + _GAMMA) & MASK64 ^ (v & MASK64))
 
 
-def folds(h: int, values) -> list[int]:
-    """[fold(h, v) for v in values], computed in one loop."""
+def select(h: int, values, num: int, den: int) -> list[int]:
+    """[v for v in values if fold(h, v) * den < num], computed in one loop:
+    the values whose draw falls below the cut num / den."""
     h = (h + _GAMMA) & MASK64
     out = []
     for v in values:
         z = h ^ (v & MASK64)
         z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
         z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
-        out.append(z ^ (z >> 31))
+        if (z ^ (z >> 31)) * den < num:
+            out.append(v)
     return out
 
 

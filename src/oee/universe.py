@@ -15,7 +15,11 @@ of satisfying assignments.  `satisfiable` asks it for one cube, and `_models`
 expands every cube over the predicates it leaves free into true-masks, which
 the engine reads directly; `Theory.models` builds `State`s from them on each
 call, for callers that want states.  Nature draws a tick's novelty kind by
-integer cuts and an agent's observations of a tick in one batch of `rng.folds`.
+integer cuts.  Beside the actual state it carries that state's true-mask and
+the revealed predicates as an ascending tuple, which variation and emergence
+update in place and which innovation and observation read; an agent's
+observations of a tick are the predicates of that tuple whose draw falls
+below the visibility cut, taken in one pass of `rng.select`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .rng import SplitMix64, folds, mix, stream
+from .rng import SplitMix64, mix, select, stream
 
 
 class ConfigError(ValueError):
@@ -154,6 +158,9 @@ def clause(*literals: tuple[int, bool]) -> Clause:
     return Clause(frozenset(literals))
 
 
+# clauses are immutable, so one object serves every call; revision builds the
+# unit of each observed literal on each call
+@lru_cache(maxsize=1 << 12)
 def unit(predicate: int, value: bool) -> Clause:
     return Clause(frozenset(((predicate, value),)))
 
@@ -395,7 +402,9 @@ def _as_fraction(w) -> Fraction:
 
 class UniverseGenerator:
     """Seeded Nature.  Mutated only by its run loop; two generators with equal
-    seed and config evolve identically."""
+    seed and config evolve identically.  Besides the actual state it carries
+    that state's true-mask and the revealed predicates in ascending order,
+    which each tick updates in place of rebuilding them from the state."""
 
     def __init__(self, seed: int, weights, initial_predicates: int, clause_arity: int = 2):
         weights = tuple(_as_fraction(w) for w in weights)
@@ -420,6 +429,8 @@ class UniverseGenerator:
             p for p in range(initial_predicates) if self._rng.chance(Fraction(1, 2))
         )
         self._actual = State(frozenset(range(initial_predicates)), true)
+        self._true = predicate_mask(true)
+        self._order = tuple(range(initial_predicates))
         self._clauses: list[Clause] = []
 
     @property
@@ -435,7 +446,7 @@ class UniverseGenerator:
         return Theory(self.revealed_predicates, tuple(self._clauses))
 
     def satisfies_revealed(self) -> bool:
-        true = predicate_mask(self._actual.true)
+        true = self._true
         return all(c.masks[0] & true or c.masks[1] & ~true for c in self._clauses)
 
     def _draw_kind(self) -> NoveltyKind:
@@ -457,10 +468,11 @@ class UniverseGenerator:
         return event
 
     def _variation(self) -> NoveltyEvent:
-        p = self._rng.choice(sorted(self.revealed_predicates))
-        new_value = not self._actual.value(p)
+        p = self._rng.choice(self._order)
+        self._true ^= 1 << p
+        true = self._true
+        new_value = true >> p & 1 == 1
         self._actual = self._actual.with_value(p, new_value)
-        true = predicate_mask(self._actual.true)
         falsified = tuple(
             c for c in self._clauses if not (c.masks[0] & true or c.masks[1] & ~true)
         )
@@ -471,15 +483,14 @@ class UniverseGenerator:
         )
 
     def _innovation(self) -> NoveltyEvent:
-        preds = sorted(self.revealed_predicates)
-        size = min(len(preds), 2 + self._rng.randrange(max(1, self.clause_arity - 1)))
+        size = min(len(self._order), 2 + self._rng.randrange(max(1, self.clause_arity - 1)))
         chosen: list[int] = []
-        pool = list(preds)
+        pool = list(self._order)
         for _ in range(size):
             chosen.append(pool.pop(self._rng.randrange(len(pool))))
         literals = [(p, bool(self._rng.next_u64() & 1)) for p in sorted(chosen)]
         candidate = Clause(frozenset(literals))
-        true = predicate_mask(self._actual.true)
+        true = self._true
         if not (candidate.masks[0] & true or candidate.masks[1] & ~true):
             # force one literal to agree with the actual state
             p, _ = literals[self._rng.randrange(len(literals))]
@@ -490,16 +501,19 @@ class UniverseGenerator:
         return NoveltyEvent(self.tick_index, NoveltyKind.INNOVATION, clause=candidate)
 
     def _emergence(self) -> NoveltyEvent:
-        new = max(self.revealed_predicates) + 1
+        new = self._order[-1] + 1
         value = bool(self._rng.next_u64() & 1)
-        anchor = self._rng.choice(sorted(self.revealed_predicates))
+        anchor = self._rng.choice(self._order)
         self._actual = self._actual.with_value(new, value)
+        self._true |= value << new
+        self._order += (new,)
         # implication between the new predicate and the anchor, satisfied at
         # the actual state: one of the two literals agrees with the actual value
+        held = self._true >> anchor & 1 == 1
         if self._rng.next_u64() & 1:
-            link = clause((new, value), (anchor, not self._actual.value(anchor)))
+            link = clause((new, value), (anchor, not held))
         else:
-            link = clause((new, not value), (anchor, self._actual.value(anchor)))
+            link = clause((new, not value), (anchor, held))
         self._clauses.append(link)
         return NoveltyEvent(
             self.tick_index, NoveltyKind.EMERGENCE, predicate=new, value=value, clause=link
@@ -518,11 +532,9 @@ class UniverseGenerator:
         if not niche <= self.revealed_predicates:
             raise NicheError("niche contains unrevealed predicates")
         visibility = _as_fraction(visibility)
-        true = predicate_mask(self._actual.true)
-        literals = {(p, true >> p & 1 == 1) for p in niche}
-        others = sorted(self.revealed_predicates - niche)
-        num, den = visibility.numerator << 64, visibility.denominator
-        for p, draw in zip(others, folds(mix(agent_seed, salt, self.tick_index), others)):
-            if draw * den < num:
-                literals.add((p, true >> p & 1 == 1))
-        return frozenset(literals)
+        true = self._true
+        # a niche predicate is seen whatever its draw, so the draws run over
+        # every revealed predicate, in ascending order
+        seen = niche.union(select(mix(agent_seed, salt, self.tick_index), self._order,
+                                  visibility.numerator << 64, visibility.denominator))
+        return frozenset([(p, true >> p & 1 == 1) for p in seen])

@@ -194,6 +194,17 @@ def test_run_rejects_oversized_scenario_before_any_tick(tmp_path, monkeypatch, o
     assert result.output.strip() == f"error: {path}: exceeds the limit of {limit}"
 
 
+def test_run_rejects_a_long_rational_before_parsing_it(tmp_path):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(
+        {**SCENARIO, "agents": [{"id": 1, "niche": [0], "visibility": "1e-10000000"}]}))
+    result = invoke("run", "--scenario", str(scenario), "--out", str(tmp_path / "t.jsonl"))
+    assert result.exit_code == 2
+    assert result.output.strip() == (
+        f"error: agents[0].visibility: expands past the limit of "
+        f"{harness.MAX_RATIONAL_DIGITS:,} digits (harness.MAX_RATIONAL_DIGITS)")
+
+
 def test_run_rejects_unknown_scenario_key(tmp_path):
     scenario = tmp_path / "s.json"
     scenario.write_text(json.dumps({**SCENARIO, "runn": {"ticks": 6}}))

@@ -65,6 +65,35 @@ def test_bad_weights():
         scenario_from_dict(minimal(weights=[0.5, 0.3, 0.1]))
 
 
+@pytest.mark.parametrize("overrides, path", [
+    ({"weights": ["0e-" + "9" * 7, "1/2", "1/2"]}, "weights[0]"),
+    ({"weights": ["1e-1000", "1/2", "1/2"]}, "weights[0]"),
+    ({"agents": [{"id": 1, "visibility": "1e-10000000"}]}, "agents[0].visibility"),
+    ({"agents": [{"id": 1, "visibility": "1/" + "1" * harness.MAX_RATIONAL_DIGITS}]},
+     "agents[0].visibility"),
+])
+def test_long_rationals_are_refused_before_parsing(overrides, path, monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("the rational was parsed")
+
+    monkeypatch.setattr(harness, "Fraction", no_fraction)
+    with pytest.raises(SchemaError, match=r"harness\.MAX_RATIONAL_DIGITS") as exc:
+        scenario_from_dict(minimal(**overrides))
+    assert exc.value.path == path
+
+
+def test_rational_digit_limit_is_inclusive():
+    # "1e-994" expands to its 6 characters and 994 more digits: the limit
+    assert harness.MAX_RATIONAL_DIGITS == 1_000
+    vis = scenario_from_dict(minimal(agents=[{"id": 1, "visibility": "1e-994"}]))
+    assert vis.agents[0].visibility == Fraction(1, 10 ** 994)
+    with pytest.raises(SchemaError, match="MAX_RATIONAL_DIGITS"):
+        scenario_from_dict(minimal(agents=[{"id": 1, "visibility": "1e-995"}]))
+    # every float's text fits: 17 significant digits and an exponent of at most 324
+    assert scenario_from_dict(minimal(agents=[{"id": 1, "visibility": 5e-324}])) \
+        .agents[0].visibility == Fraction("5e-324")
+
+
 def test_bad_strategy():
     with pytest.raises(SchemaError):
         scenario_from_dict(minimal(agents=[{"id": 1, "strategy": "psychic"}]))

@@ -410,6 +410,23 @@ def test_budget_only_truncates_the_ranking(case, strategy, budget, more):
     assert propose_revisions(a, conflict, strategy, budget) == wider[:budget]
 
 
+def test_deductive_search_walks_on_to_budget_distinct_theories():
+    """Retracting a held observed unit besides a falsified clause records the
+    unit again, so a larger retraction set can make a theory that a smaller
+    one made already.  A deductive search for more than one theory then counts
+    more sets than theories and walks on until it has `budget` distinct ones;
+    only a search for one theory stops at its first consistent level."""
+    theory = Theory(frozenset(range(4)),
+                    (unit(1, True), unit(0, True), unit(2, False), unit(3, False)))
+    conflict = {(0, True), (1, True), (2, False), (3, True)}
+    agent = agent_state(1, theory)
+    strategy = RevisionStrategy(StrategyKind.DEDUCTIVE)
+    for budget in range(1, 5):
+        repairs = propose_revisions(agent, conflict, strategy, budget)
+        assert repairs == reference_propose_revisions(agent, conflict, strategy, budget)
+        assert len(set(repairs)) == budget
+
+
 @settings(max_examples=300, deadline=None)
 @given(theories(), st.data())
 def test_kernel_verdict_matches_models(theory, data):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oee.rng import MASK64, SplitMix64, fold, folds, mix, stream
+from oee.rng import MASK64, SplitMix64, fold, mix, select, stream
 
 
 def test_mix_is_order_sensitive():
@@ -28,9 +28,11 @@ def test_mix_is_a_fold(values, last):
     assert fold(mix(*values), last) == mix(*values, last)
 
 
-@given(st.integers(0, MASK64), st.lists(st.integers(-(1 << 70), 1 << 70), max_size=12))
-def test_folds_match_fold_per_value(h, values):
-    assert folds(h, values) == [fold(h, v) for v in values]
+@given(st.integers(0, MASK64), st.lists(st.integers(-(1 << 70), 1 << 70), max_size=12),
+       st.fractions(0, 1, max_denominator=64))
+def test_select_matches_filtering_by_fold(h, values, cut):
+    num, den = cut.numerator << 64, cut.denominator
+    assert select(h, values, num, den) == [v for v in values if fold(h, v) * den < num]
 
 
 def test_mix_deterministic():

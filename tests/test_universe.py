@@ -328,6 +328,23 @@ def test_ticks_deterministic():
     assert a.actual == b.actual
 
 
+cuts = st.fractions(0, 1, max_denominator=10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, MASK64), low=cuts, high=cuts, arity=st.integers(2, 4),
+       k=st.integers(1, 12), ticks=st.integers(1, 40))
+def test_carried_state_matches_the_actual_state(seed, low, high, arity, k, ticks):
+    """After every tick, the true-mask and the ascending predicate tuple that
+    Nature carries are those of its actual state."""
+    low, high = sorted((low, high))
+    g = UniverseGenerator(seed, (low, high - low, 1 - high), k, arity)
+    for _ in range(ticks):
+        g.tick()
+        assert g._true == predicate_mask(g.actual.true)
+        assert g._order == tuple(sorted(g.revealed_predicates))
+
+
 def test_observe_full_visibility():
     g = make()
     g.tick()
