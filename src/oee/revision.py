@@ -25,6 +25,7 @@ from .universe import (
     clause,
     extended_texts,
     literal_masks,
+    mask_bits,
     residues,
     satisfiable,
     text_digest,
@@ -103,6 +104,135 @@ def symmetry_score(theory: Theory) -> int:
     return count
 
 
+def _fixes(a, b, clauses, member) -> bool:
+    """Whether the transposition (a b) maps each of `clauses`, every clause of
+    a and of b, to a clause for which `member` holds: whether it fixes that
+    clause set, as in `symmetry_score`."""
+    swap = {a: b, b: a}
+    return all(member(frozenset((swap.get(p, p), pol) for p, pol in k)) for k in clauses)
+
+
+def _symmetry_delta(predicates, base):
+    """`score(added=None, dropped=())`: the `symmetry_score` of the theory over
+    `predicates` whose clause set is `base` with the clause literals `added`
+    (absent from `base`) or without the clauses indexed in `dropped`, from
+    structures built once for `base`.
+
+    The delta's predicates are those of the added or dropped clauses.  A
+    transposition that moves none of them fixes each delta clause, so it fixes
+    the new set exactly when it fixes `base`: a bijection of clause sets that
+    fixes `base` and the delta fixes their union and their difference, and one
+    that fixes the union or the difference and the delta fixes `base`.  So the
+    score changes only through the pairs that touch the delta, and only the
+    delta's predicates, whose clause lists it changes, are re-examined against
+    the new signature groups: the base score, from `symmetry_score`, less the
+    base's fixing pairs that touch the delta, from each predicate's count of
+    fixing partners, plus those of the new set.  As in `symmetry_score`, a
+    predicate's partners that share no clause with it are those with its orbit
+    key, counted per key, and only the partners sharing a clause are tried.  A
+    predicate outside the delta keeps its clauses, so it shares a clause with
+    a delta predicate in the new set exactly when it does in `base`."""
+    lits = [c.literals for c in base]
+    index = {k: i for i, k in enumerate(lits)}
+    touching = dict.fromkeys(predicates, 0)  # p -> bit i for each clause i of p
+    for i, c in enumerate(base):
+        for p, _ in c.literals:
+            touching[p] |= 1 << i
+    views = {}
+
+    def view(a, mask):
+        """a's clauses among those of `mask`, its orbit key (each clause with
+        a replaced by a placeholder) and its signature (the sorted (polarity,
+        length) of each); the same few subsets recur across candidates."""
+        v = views.get((a, mask))
+        if v is None:
+            clauses = [lits[i] for i in mask_bits(mask)]
+            v = views[a, mask] = (
+                clauses,
+                frozenset([_orbit_face(k, a) for k in clauses]),
+                tuple(sorted([(pol, len(k)) for k in clauses for p, pol in k if p == a])),
+            )
+        return v
+
+    old = {p: view(p, m) for p, m in touching.items()}
+    partners = {a: {q for k in clauses for q, _ in k if q != a}
+                for a, (clauses, _, _) in old.items()}
+    count = Counter(key for _, key, _ in old.values())
+    member = index.__contains__
+    # the partners sharing a clause with a that fix `base`
+    sharing = {
+        a: {b for b in partners[a]
+            if old[b][2] == sig and _fixes(a, b, clauses + old[b][0], member)}
+        for a, (clauses, _, sig) in old.items()
+    }
+    fixing = {a: count[key] - 1 + len(sharing[a]) for a, (_, key, _) in old.items()}
+    whole = symmetry_score(Theory(predicates, base))
+
+    def score(added=None, dropped=()):
+        if added is None:
+            gone = 0
+            for i in dropped:
+                gone |= 1 << i
+            new = {a: view(a, touching[a] & ~gone)
+                   for i in dropped for a, _ in lits[i]}
+
+            def new_member(k):
+                i = index.get(k)
+                return i is not None and not gone >> i & 1
+        else:
+            new = {}
+            for a, pol in added:
+                clauses, key, sig = old[a]
+                new[a] = (clauses + [added], key | {_orbit_face(added, a)},
+                          tuple(sorted(sig + ((pol, len(added)),))))
+            new_member = lambda k: k == added or k in index
+        # the base's fixing pairs within the delta, counted twice in `fixing`:
+        # those with equal keys and those sharing a clause
+        total = whole
+        inside = {}
+        shared = 0
+        for a in new:
+            key = old[a][1]
+            total += inside.get(key, 0) - fixing[a]
+            inside[key] = inside.get(key, 0) + 1
+            if sharing[a]:
+                shared += len(sharing[a].intersection(new))
+        total += shared // 2
+        # the new set's fixing pairs: within the delta, tried; outside it,
+        # partners keep their view, so those with a's new key share no clause
+        # with a and the others are tried
+        total += _fixing_pairs(new, new_member)
+        for a, (clauses, key, sig) in new.items():
+            total += count[key] - inside.get(key, 0)
+            for b in partners[a]:
+                if b not in new and old[b][2] == sig and _fixes(
+                    a, b, clauses + old[b][0], new_member
+                ):
+                    total += 1
+        return total
+
+    return score
+
+
+def _orbit_face(k, p):
+    """The clause literals `k` with the predicate p replaced by a placeholder."""
+    return frozenset((None if q == p else q, pol) for q, pol in k)
+
+
+def _fixing_pairs(views, member) -> int:
+    """The transpositions of two predicates of `views` (predicate -> (clauses,
+    orbit key, signature)) that fix the clause set `member` tells, tried
+    within each signature."""
+    groups = defaultdict(list)
+    for a, (clauses, _, sig) in views.items():
+        groups[sig].append((a, clauses))
+    return sum(
+        _fixes(a, b, ka + kb, member)
+        for group in groups.values()
+        for (a, ka), (b, kb) in combinations(group, 2)
+    )
+
+
 def _strategy_key(strategy: RevisionStrategy, predicates, base, dropped=None, text=None):
     """The score of `strategy` for each candidate, lower first.  Candidates
     rank by score, then by a tie that tells any two apart and that `_ranked`
@@ -117,8 +247,11 @@ def _strategy_key(strategy: RevisionStrategy, predicates, base, dropped=None, te
     from one rendering of `base` unless the caller has it, and is the only
     strategy that builds texts; heuristic prefers fewer literals, counted over
     the delta alone since the base is common; aesthetic prefers a higher
-    symmetry score of the candidate's clause set.  Deductive ranks repairs
-    only, each `c` its retraction set: by the number of clauses retracted."""
+    symmetry score of the candidate's clause set, the base's score corrected
+    for the transpositions that move a predicate of the delta
+    (`_symmetry_delta`), with no theory built per candidate.  Deductive ranks
+    repairs only, each `c` its retraction set: by the number of clauses
+    retracted."""
     kind = strategy.kind
     if kind is StrategyKind.DEDUCTIVE:
         return len
@@ -133,15 +266,10 @@ def _strategy_key(strategy: RevisionStrategy, predicates, base, dropped=None, te
             return lambda c: len(c.literals)
         sizes = [len(c.literals) for c in base]
         return lambda c: -sum(sizes[i] for i in dropped(c))
+    score = _symmetry_delta(predicates, base)
     if dropped is None:
-        return lambda c: -symmetry_score(Theory(predicates, base + (c,)))
-
-    def aesthetic(c):
-        out = dropped(c)
-        kept = tuple(k for i, k in enumerate(base) if i not in out)
-        return -symmetry_score(Theory(predicates, kept))
-
-    return aesthetic
+        return lambda c: -score(added=c.literals)
+    return lambda c: -score(dropped=dropped(c))
 
 
 def _ranked(candidates, score, tie):
@@ -195,10 +323,12 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
     Candidates rank by the strategy's score, then by age: the retracted
     clauses counted from the newest, sorted.  Distinct retraction sets have
     distinct ages, so ties never reach the canonical text.  The scores come
-    from the retraction set; the aesthetic one scores the kept clauses as an
-    unordered set.  Every candidate is scored first, the age is computed only
-    among equal scores, and only the first `budget` distinct theories of the
-    ranking are built, in clause order.
+    from the retraction set; the aesthetic one from the symmetry score of the
+    theory plus the observed units it lacks, computed once per search, with
+    only the predicates of the retracted clauses re-examined.  Every
+    candidate is scored first, the age is computed only among equal scores,
+    and only the first `budget` distinct theories of the ranking are built,
+    in clause order.
 
     Returns the first `budget` distinct theories of a ranking that does not
     depend on `budget`.  Observed literals that give a predicate both values

@@ -24,6 +24,7 @@ below the visibility cut, taken in one pass of `rng.select`.
 
 from __future__ import annotations
 
+import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
@@ -272,8 +273,6 @@ def extended_texts(predicates: frozenset[int], clauses):
 
 def text_digest(text: str) -> str:
     """The digest of a theory with canonical text `text`."""
-    import hashlib
-
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

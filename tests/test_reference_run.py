@@ -27,7 +27,14 @@ from oee.revision import ExtensionClass, StrategyKind
 from oee.rng import mix
 from oee.universe import NoveltyKind, UniverseGenerator, empty_theory
 
-from test_repair_search import cube, reference_revise, reference_text, satisfying
+from test_repair_search import (
+    AESTHETIC_SCENARIO,
+    AESTHETIC_TRACE_SHA256,
+    cube,
+    reference_revise,
+    reference_text,
+    satisfying,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PILOT = json.loads((ROOT / "scenarios" / "pilot.json").read_text())
@@ -151,6 +158,16 @@ def test_reference_run_reproduces_the_pinned_digests(tmp_path):
         scenario = scenario_from_dict(json.loads((ROOT / "scenarios" / f"{name}.json").read_text()))
         data = jsonl(reference_run(scenario, 0), tmp_path / f"{name}.jsonl")
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_reference_run_reproduces_the_aesthetic_pin(tmp_path):
+    # no pinned fixture runs an aesthetic agent; the reference scores each
+    # candidate by trying every transposition on its whole clause set
+    scenario = scenario_from_dict(AESTHETIC_SCENARIO)
+    h = hashlib.sha256()
+    for r in range(scenario.run.replicates):
+        h.update(jsonl(reference_run(scenario, r), tmp_path / f"{r}.jsonl"))
+    assert h.hexdigest() == AESTHETIC_TRACE_SHA256
 
 
 # the truth tables span an agent's language, at most the revealed predicates

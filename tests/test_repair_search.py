@@ -581,32 +581,111 @@ def test_ranking_computes_ties_only_among_equal_scores(scores, taken):
 
 def test_sixty_new_predicates_bridge_as_the_parent_does():
     # one first-tick revise in which a heuristic and a random agent observe 60
-    # new predicates: 59 bridges over about 236 options each
-    observations = frozenset((p, bool(mix(11, p) & 1)) for p in range(60))
+    # new predicates, 59 bridges over about 236 options each, and an aesthetic
+    # agent 40, which the parent bridging scores one whole theory per option
     a = agent_state(1, empty_theory())
-    for kind in (StrategyKind.HEURISTIC, StrategyKind.RANDOM):
+    for kind, n in ((StrategyKind.HEURISTIC, 60), (StrategyKind.RANDOM, 60),
+                    (StrategyKind.AESTHETIC, 40)):
+        observations = frozenset((p, bool(mix(11, p) & 1)) for p in range(n))
         strategy = RevisionStrategy(kind, 5)
         theory = revise(a, observations, strategy).theory
-        assert len(theory.clauses) == 60 + 59
+        assert len(theory.clauses) == n + n - 1
         assert theory.digest() == parent_revise(a, observations, strategy).digest()
 
 
-@st.composite
-def symmetric_theories(draw):
-    """Theories closed under one transposition, so that some score above 0."""
-    theory = draw(theories())
-    a, b = draw(st.lists(st.sampled_from(PREDICATES), min_size=2, max_size=2, unique=True))
+def transposed(c: Clause, a: int, b: int) -> Clause:
     swap = {a: b, b: a}
-    swapped = (Clause(frozenset((swap.get(p, p), pol) for p, pol in c.literals))
-               for c in theory.clauses)
-    clauses = tuple(dict.fromkeys(theory.clauses + tuple(swapped)))
-    return Theory(theory.predicates | {a, b}, clauses)
+    return Clause(frozenset((swap.get(p, p), pol) for p, pol in c.literals))
+
+
+@st.composite
+def symmetric_theories(draw, swaps=1):
+    """Theories closed under a transposition, so that some score above 0: the
+    clauses are closed under each of `swaps` transpositions in turn."""
+    theory = draw(theories())
+    clauses, preds = theory.clauses, theory.predicates
+    for _ in range(swaps):
+        a, b = draw(st.lists(st.sampled_from(PREDICATES), min_size=2, max_size=2, unique=True))
+        clauses = tuple(dict.fromkeys(clauses + tuple(transposed(c, a, b) for c in clauses)))
+        preds = preds | {a, b}
+    return Theory(preds, clauses)
 
 
 @settings(max_examples=300, deadline=None)
 @given(theories() | symmetric_theories())
 def test_symmetry_score_matches_brute_force(theory):
     assert symmetry_score(theory) == reference_symmetry_score(theory)
+
+
+AESTHETIC = RevisionStrategy(StrategyKind.AESTHETIC)
+
+
+def counting_symmetry_score(monkeypatch):
+    """The calls `revision` makes to `symmetry_score`, through its module name."""
+    calls = []
+    real = revision.symmetry_score
+    monkeypatch.setattr(revision, "symmetry_score", lambda t: calls.append(t) or real(t))
+    return calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(theories() | symmetric_theories() | symmetric_theories(swaps=2), st.data())
+def test_aesthetic_bridge_score_matches_symmetry_score(theory, data):
+    """The aesthetic key of an added clause, scored by its delta, is minus
+    the symmetry score of the theory plus the clause.  The clauses are drawn
+    at random and as transposed images of the theory's clauses, so that adding
+    one can complete a symmetry as well as break one."""
+    images = [transposed(c, a, b) for c in theory.clauses for a, b in combinations(PREDICATES, 2)]
+    added = data.draw(st.lists(
+        (st.sampled_from(images) | literal_sets) if images else literal_sets,
+        min_size=1, max_size=8, unique=True))
+    added = [c for c in added if c not in theory.clauses]
+    assume(added)
+    preds = theory.predicates.union(*(c.predicates() for c in added))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_symmetry_score(mp)
+        key = revision._strategy_key(AESTHETIC, preds, theory.clauses)
+        scores = [key(c) for c in added]
+    assert calls == [Theory(preds, theory.clauses)]  # one score of the base, none per candidate
+    for c, score in zip(added, scores):
+        assert score == -symmetry_score(Theory(preds, theory.clauses + (c,)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(theories() | symmetric_theories() | symmetric_theories(swaps=2), st.data())
+def test_aesthetic_repair_score_matches_symmetry_score(theory, data):
+    """The aesthetic key of a dropped clause set, scored by its delta, is minus
+    the symmetry score of the kept clauses.  Half the sets drop every clause of
+    some predicate, which stays in the theory with no clause."""
+    n = len(theory.clauses)
+    assume(n)
+    mentioned = sorted(set().union(*(c.predicates() for c in theory.clauses)))
+    sets = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        dropped = data.draw(st.sets(st.integers(0, n - 1)))
+        if data.draw(st.booleans()):
+            p = data.draw(st.sampled_from(mentioned))
+            dropped |= {i for i, c in enumerate(theory.clauses) if p in c.predicates()}
+        sets.append(frozenset(dropped))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_symmetry_score(mp)
+        key = revision._strategy_key(AESTHETIC, theory.predicates, theory.clauses,
+                                     dropped=lambda r: r)
+        scores = [key(r) for r in sets]
+    assert calls == [theory]
+    for dropped, score in zip(sets, scores):
+        kept = tuple(c for i, c in enumerate(theory.clauses) if i not in dropped)
+        assert score == -symmetry_score(Theory(theory.predicates, kept))
+
+
+def test_aesthetic_repair_score_of_a_broken_square():
+    # (a b) and (x z) map each kept clause to a dropped one: with the dropped
+    # clauses still counted as present, both would seem to fix the kept set
+    a, b, x, z = range(4)
+    square = (clause((a, True), (x, True)), clause((b, True), (x, True)),
+              clause((a, True), (z, True)), clause((b, True), (z, True)))
+    key = revision._strategy_key(AESTHETIC, frozenset(range(4)), square, dropped=lambda r: r)
+    assert key(frozenset({1, 2})) == -symmetry_score(Theory(frozenset(range(4)), square[::3])) == -2
 
 
 # --- the candidate set ---------------------------------------------------------
@@ -710,3 +789,43 @@ def test_large_vocabulary_probe_raises_instead_of_hanging(tmp_path):
     result = CliRunner().invoke(main, ["run", "--scenario", str(path), "--out", str(out)])
     assert result.exit_code == 1
     assert "revision.MAX_REPAIR_CHECKS" in result.output
+
+
+def test_large_vocabulary_probe_with_an_aesthetic_agent_raises_quickly():
+    # the probe with its heuristic agent scoring by symmetry instead: replicate
+    # 1 is refused at level 13 of a 254-clause pool, which scoring every
+    # bridging option by a whole theory took over 20 s to reach
+    data = json.loads(json.dumps(LARGE_VOCABULARY_PROBE))
+    data["agents"][1]["strategy"] = "aesthetic"
+    scenario = harness.scenario_from_dict(data)
+    start = time.perf_counter()
+    with pytest.raises(RepairLimit) as refused:
+        harness.run_full(scenario, 1)
+    assert time.perf_counter() - start < 30
+    assert str(refused.value) == (
+        "repair search over a pool of 254 clauses refused at size level 13: it would walk "
+        "2,421,335 retraction sets, past the limit of 1,000,000 (revision.MAX_REPAIR_CHECKS)"
+    )
+
+
+AESTHETIC_SCENARIO = {
+    # the shape of the benchmark's aesthetic repair-search runs: one agent on a
+    # closed world of 8 predicates, contradicted on most ticks
+    "seed": 11, "weights": ["3/5", "2/5", "0"], "initial_predicates": 8,
+    "agents": [{"id": 1, "niche": [0, 1], "visibility": "1/2",
+                "strategy": "aesthetic", "strategy_seed": 11}],
+    "run": {"ticks": 6, "depth": 1, "replicates": 3},
+}
+AESTHETIC_TRACE_SHA256 = "fc6f47f09f04c8c462f95e201fad34d3c3b88a18e4d8f44f8f19d92f990c6d23"
+
+
+def test_aesthetic_scenario_reproduces_its_pinned_digest(tmp_path):
+    # the JSONL traces of every replicate, concatenated; pinned from the engine
+    # that scored each aesthetic candidate by the whole theory it makes
+    scenario = harness.scenario_from_dict(AESTHETIC_SCENARIO)
+    h = hashlib.sha256()
+    for r in range(scenario.run.replicates):
+        path = tmp_path / f"{r}.jsonl"
+        harness.export(harness.run(scenario, r), "jsonl", path)
+        h.update(path.read_bytes())
+    assert h.hexdigest() == AESTHETIC_TRACE_SHA256
