@@ -24,7 +24,7 @@ from pathlib import Path
 from .harness import SchemaError, _integer, _known_keys, parse_json
 from .multiagent import GroundMismatch, SharedFrame, _cube, _labelling
 from .multiagent import full_cube  # noqa: F401  (re-exported for callers of this module)
-from .universe import State, mask_bits
+from .universe import MAX_PREDICATE_INDEX, State, mask_bits
 
 
 def _true_mask(bits, preds, path: str) -> int:
@@ -106,7 +106,10 @@ def load_frame(path) -> SharedFrame:
         raise SchemaError("predicates", "must be a list of predicate indices")
     seen = set()
     for i, p in enumerate(predicates):
-        if _integer(p, f"predicates[{i}]", minimum=0) in seen:
+        if _integer(p, f"predicates[{i}]", minimum=0) > MAX_PREDICATE_INDEX:
+            raise SchemaError(f"predicates[{i}]", f"exceeds the limit of "
+                              f"{MAX_PREDICATE_INDEX:,} (universe.MAX_PREDICATE_INDEX)")
+        if p in seen:
             raise SchemaError("predicates", f"repeats predicate {p}")
         seen.add(p)
     preds = sorted(predicates)

@@ -58,80 +58,44 @@ class ExtensionClass(Enum):
 
 def symmetry_score(theory: Theory) -> int:
     """Number of predicate transpositions leaving the clause set fixed."""
-    # A transposition (a b) fixing the clause set maps the clauses of a onto
-    # those of b, so only predicates with equal signatures, the multiset of
-    # (polarity, clause length) over their clauses, can pair.  Within a
-    # signature group, the orbit key of p is its clauses with p replaced by a
-    # placeholder.  When a and b share no clause, (a b) fixes the set exactly
-    # when their orbit keys are equal, so those pairs are counted per key and
-    # only the pairs that share a clause are tried on the clauses (Crawford,
-    # Ginsberg, Luks & Roy, KR 1996).
-    signature = {p: [] for p in theory.predicates}
-    touching = {p: [] for p in theory.predicates}
-    for c in theory.clauses:
-        for p, pol in c.literals:
-            signature[p].append((pol, len(c.literals)))
-            touching[p].append(c.literals)
-    groups = defaultdict(list)
-    for p in sorted(theory.predicates):
-        groups[tuple(sorted(signature[p]))].append(p)
-    clause_set = frozenset(c.literals for c in theory.clauses)
-    count = 0
-    for group in groups.values():
-        if len(group) < 2:
-            continue
-        orbit = {
-            p: frozenset(
-                frozenset((None if q == p else q, pol) for q, pol in literals)
-                for literals in touching[p]
-            )
-            for p in group
-        }
-        count += sum(k * (k - 1) // 2 for k in Counter(orbit.values()).values())
-        members = set(group)
-        for a in group:
-            for b in {q for literals in touching[a] for q, _ in literals}:
-                if b <= a or b not in members:
-                    continue
-                swap = {a: b, b: a}
-                # the swap is injective and fixes every clause without a or b,
-                # so it fixes the set once it maps the clauses of a and b into it
-                fixes = all(
-                    frozenset((swap.get(p, p), pol) for p, pol in literals) in clause_set
-                    for literals in touching[a] + touching[b]
-                )
-                count += fixes - (orbit[a] == orbit[b])
-    return count
+    return _symmetry_delta(theory.predicates, theory.clauses)()
 
 
 def _fixes(a, b, clauses, member) -> bool:
     """Whether the transposition (a b) maps each of `clauses`, every clause of
     a and of b, to a clause for which `member` holds: whether it fixes that
-    clause set, as in `symmetry_score`."""
+    clause set, since it is injective and fixes every clause without a or b."""
     swap = {a: b, b: a}
     return all(member(frozenset((swap.get(p, p), pol) for p, pol in k)) for k in clauses)
 
 
 def _symmetry_delta(predicates, base):
-    """`score(added=None, dropped=())`: the `symmetry_score` of the theory over
-    `predicates` whose clause set is `base` with the clause literals `added`
-    (absent from `base`) or without the clauses indexed in `dropped`, from
-    structures built once for `base`.
+    """`score(added=None, dropped=())`: the number of transpositions of two of
+    `predicates` that fix the clause set `base` with the clause literals
+    `added` (absent from `base`) or without the clauses indexed in `dropped`;
+    with an empty delta, the symmetry score of `base` (Crawford, Ginsberg,
+    Luks & Roy, KR 1996).  Structures are built once for `base`.
+
+    A transposition (a b) fixing a clause set maps the clauses of a onto those
+    of b, so a and b have equal signatures, the sorted (polarity, clause
+    length) over their clauses.  Two predicates that share a clause never have
+    equal orbit keys (each clause with the predicate replaced by a
+    placeholder): none of a's faces mentions a, and b's face of the shared
+    clause does.  Partners sharing no clause fix the set exactly when their
+    keys are equal, and are counted per key; only those sharing a clause are
+    tried.  So `fixing[a]` counts each of a's fixing partners once, and the
+    base score is half the sum over all a.
 
     The delta's predicates are those of the added or dropped clauses.  A
     transposition that moves none of them fixes each delta clause, so it fixes
     the new set exactly when it fixes `base`: a bijection of clause sets that
     fixes `base` and the delta fixes their union and their difference, and one
-    that fixes the union or the difference and the delta fixes `base`.  So the
-    score changes only through the pairs that touch the delta, and only the
-    delta's predicates, whose clause lists it changes, are re-examined against
-    the new signature groups: the base score, from `symmetry_score`, less the
-    base's fixing pairs that touch the delta, from each predicate's count of
-    fixing partners, plus those of the new set.  As in `symmetry_score`, a
-    predicate's partners that share no clause with it are those with its orbit
-    key, counted per key, and only the partners sharing a clause are tried.  A
-    predicate outside the delta keeps its clauses, so it shares a clause with
-    a delta predicate in the new set exactly when it does in `base`."""
+    that fixes the union or the difference and the delta fixes `base`.  So
+    only the delta's predicates, whose clause lists it changes, are
+    re-examined: the base score, less the base's fixing pairs that touch the
+    delta, plus those of the new set.  A predicate outside the delta keeps its
+    clauses, so it shares a clause with a delta predicate in the new set
+    exactly when it does in `base`."""
     lits = [c.literals for c in base]
     index = {k: i for i, k in enumerate(lits)}
     touching = dict.fromkeys(predicates, 0)  # p -> bit i for each clause i of p
@@ -166,7 +130,7 @@ def _symmetry_delta(predicates, base):
         for a, (clauses, _, sig) in old.items()
     }
     fixing = {a: count[key] - 1 + len(sharing[a]) for a, (_, key, _) in old.items()}
-    whole = symmetry_score(Theory(predicates, base))
+    whole = sum(fixing.values()) // 2
 
     def score(added=None, dropped=()):
         if added is None:

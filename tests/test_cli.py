@@ -93,6 +93,9 @@ def test_check_bad_frame_exit_2(tmp_path):
      "error: partitions.1: state '10' lies in no class"),
     ({**FRAME, "partitions": {"1": [["00", "01"], [], ["10", "11"]]}},
      "error: partitions.1[1]: empty partition class"),
+    # a state's true-mask is as wide as its largest predicate index
+    ({**FRAME, "predicates": [0, 1_000_001]},
+     "error: predicates[1]: exceeds the limit of 1,000,000 (universe.MAX_PREDICATE_INDEX)"),
 ])
 def test_check_rejects_bad_frame_field(tmp_path, frame, message):
     path = tmp_path / "f.json"
