@@ -8,7 +8,6 @@ or frame files).
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 
 import click
 
@@ -131,7 +130,7 @@ def ergodic_cmd(scenario_path, replicates, out_path):
     traces = [run(scenario, r) for r in range(n)]
     report = ergodicity_report(traces, scenario.run.depth)
     export(report, "csv", out_path)
-    worst = max(report.max_coverage.values()) if report.max_coverage else Fraction(0)
+    worst = max(report.max_coverage.values())
     click.echo(f"gap: {report.gap}")
     click.echo(f"max coverage: {worst}")
     click.echo(f"wrote {out_path}")

@@ -32,11 +32,11 @@ class Truth3(Enum):
 
 @dataclass(frozen=True, slots=True)
 class AgentState:
+    """An agent's theory and observations; its revision epochs are trace events."""
+
     id: int
     theory: Theory
     observations: frozenset[tuple[int, bool]] = frozenset()
-    # (theory digest, predicate count) per revision epoch, oldest first
-    history: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
         obs_preds = {p for p, _ in self.observations}
@@ -48,8 +48,8 @@ class AgentState:
         return self.theory.predicates
 
 
-def agent_state(agent_id: int, theory: Theory, observations=frozenset(), history=()) -> AgentState:
-    return AgentState(agent_id, theory, frozenset(observations), tuple(history))
+def agent_state(agent_id: int, theory: Theory, observations=frozenset()) -> AgentState:
+    return AgentState(agent_id, theory, frozenset(observations))
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,6 +21,7 @@ Precedence: ~ binds tightest, then &, then |, then -> (right-associative).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import partial, reduce
 
@@ -201,25 +202,22 @@ def _tokenize(text: str):
             tokens.append((ch, None, i))
             i += 1
             continue
-        if ch in "pK":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError(i + 1, ["digit"], repr(text[i + 1 : i + 2] or "end of input"))
-            kind = "atom" if ch == "p" else "know"
-            tokens.append((kind, int(text[i + 1 : j]), i))
-            i = j
-            continue
         if ch == "C":
             tokens.append(("common", None, i))
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+        if ch in "pK" or ch.isdecimal():
+            j = start = i + (ch in "pK")
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            if j == start:
+                raise ParseError(start, ["digit"], repr(text[start : start + 1] or "end of input"))
+            try:
+                value = int(text[start:j])
+            except ValueError:  # more digits than Python converts
+                raise ParseError(start, [f"at most {sys.get_int_max_str_digits():,} digits"],
+                                 f"{j - start:,} digits") from None
+            tokens.append(("atom" if ch == "p" else "know" if ch == "K" else "int", value, i))
             i = j
             continue
         raise ParseError(i, ["formula token"], repr(ch))

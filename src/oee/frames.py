@@ -122,7 +122,8 @@ def load_frame(path) -> SharedFrame:
     for key, lists in raw_partitions.items():
         if not _AGENT_KEY.fullmatch(key):
             raise SchemaError(f"partitions.{key}", "agent id must be a decimal integer")
-        classes[int(key)] = _labelling(_labels(key, lists, preds, position))
+        # `_AGENT_KEY` admits only JSON integers, and parse_json refuses a long one
+        classes[parse_json(key, "partitions")] = _labelling(_labels(key, lists, preds, position))
     return SharedFrame(tuple(sorted(classes)), frozenset(preds), tuple(ground.values()),
                        classes, True)
 

@@ -16,6 +16,7 @@ import io
 import json
 import os
 import stat
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +25,7 @@ from pathlib import Path
 # run loop counts the `adjacent_masks` of each revision without building states
 from .epistemics import AgentState, Truth3, adjacent_masks, adjacent_possible, agent_state, \
     decide, truth_of_mask
-from .formula import MAX_SENTENCES, enumerate_sentences, event_mask, render, sentence_count
+from .formula import enumerate_sentences, event_mask, render
 from .revision import RevisionStrategy, StrategyKind, classify_extension, revise
 from .rng import mix
 from .universe import NoveltyKind, State, UniverseGenerator, _models, empty_theory, \
@@ -206,8 +207,9 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def parse_json(text: str, path: str = "$"):
-    """The JSON document `text`; invalid JSON, or an object that repeats a
-    key (which `json` would drop without a word), is a SchemaError at `path`."""
+    """The JSON document `text`; invalid JSON, an object that repeats a key
+    (which `json` would drop without a word), or an integer longer than
+    Python converts from a string, is a SchemaError at `path`."""
     def unique(pairs):
         data = {}
         for key, value in pairs:
@@ -220,6 +222,11 @@ def parse_json(text: str, path: str = "$"):
         return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"invalid JSON: {exc}")
+    except SchemaError:
+        raise
+    except ValueError:  # `int` refuses more digits than sys.get_int_max_str_digits()
+        raise SchemaError(path, f"an integer exceeds the limit of "
+                          f"{sys.get_int_max_str_digits():,} digits") from None
 
 
 def load_scenario(path) -> Scenario:
@@ -387,8 +394,8 @@ def run_full(scenario: Scenario, replicate: int) -> RunResult:
     agents: dict[int, AgentState] = {
         spec.id: agent_state(spec.id, empty_theory()) for spec in scenario.agents
     }
-    # `revise` records the digest of every theory it moves to in the history
-    empty_digest = empty_theory().digest()
+    # each agent's last theory digest in the trace: a revision event's `old`
+    digests = dict.fromkeys(agents, empty_theory().digest())
     seeds = [(spec, mix(scenario.seed, replicate, spec.id)) for spec in scenario.agents]
     # the agents' predicate masks and their disjointness texts, recomputed
     # only on a tick that changes some agent's predicate set
@@ -433,12 +440,14 @@ def run_full(scenario: Scenario, replicate: int) -> RunResult:
                 adjacent = len(adjacent_masks(before.theory, after.theory))
                 extension = classify_extension(before.theory, after.theory)
                 per_agent_revision[spec.id] = (extension, adjacent)
+                new = after.theory.digest()
                 emit(tick, "revision", spec.id, {
-                    "old": before.history[-1][0] if before.history else empty_digest,
-                    "new": after.history[-1][0],
+                    "old": digests[spec.id],
+                    "new": new,
                     "extension": extension.value,
                     "adjacent": adjacent,
                 })
+                digests[spec.id] = new
             agents[spec.id] = after
         masks = [agents[spec.id].theory.mask for spec in scenario.agents]
         if masks != languages:
@@ -528,8 +537,8 @@ def bin_timeline(trace: Trace) -> list[tuple[int, int]]:
 def compare_strategies(scenario: Scenario, replicate: int = 0):
     """Run the scenario as configured and again with every agent deductive;
     report revealed-true sentences each configured agent decides True that the
-    deductive twin leaves Undecidable or NotInLanguage.  More than
-    MAX_SENTENCES sentences raise ValueError before any is enumerated."""
+    deductive twin leaves Undecidable or NotInLanguage.  `enumerate_sentences`
+    refuses more than MAX_SENTENCES sentences before it builds any."""
     depth = scenario.run.depth
     deductive = replace(scenario, agents=tuple(
         replace(s, strategy=RevisionStrategy(StrategyKind.DEDUCTIVE, s.strategy.seed))
@@ -539,10 +548,6 @@ def compare_strategies(scenario: Scenario, replicate: int = 0):
     baseline = run_full(deductive, replicate)
     here = (predicate_mask(configured.universe.actual.true),)
     revealed = configured.universe.revealed_predicates
-    n = len(revealed)
-    if sentence_count(n, depth, MAX_SENTENCES) > MAX_SENTENCES:
-        raise ValueError(f"depth {depth} over {n} predicates enumerates more than "
-                         f"the limit of {MAX_SENTENCES:,} sentences")
     true = [f for f in enumerate_sentences(revealed, depth) if event_mask(f, here, 1, {})]
     gained: dict[int, list[str]] = {}
     for spec in scenario.agents:

@@ -449,9 +449,9 @@ def revise(agent: AgentState, observations, strategy: RevisionStrategy) -> Agent
     as unit clauses, repaired first if they contradict the theory, then each
     unknown predicate gains one strategy-chosen bridging clause (none for the
     deductive strategy).  The result is always consistent; observations that
-    give a predicate both values raise ContradictoryObservations."""
+    give a predicate both values raise ContradictoryObservations.  No digest
+    is taken here: the run loop digests each theory it puts in the trace."""
     obs = frozenset(observations)
-    old_theory = agent.theory
     old_preds = agent.predicates
     new_preds = sorted({p for p, _ in obs} - old_preds)
     theory = propose_revisions(agent, obs, strategy, 1)[0]
@@ -467,10 +467,7 @@ def revise(agent: AgentState, observations, strategy: RevisionStrategy) -> Agent
                 theory = _bridge(theory, options, strategy)
             anchors = anchors | {q}
 
-    history = agent.history
-    if theory != old_theory:
-        history = history + ((theory.digest(), len(theory.predicates)),)
-    return AgentState(agent.id, theory, obs, history)
+    return AgentState(agent.id, theory, obs)
 
 
 def classify_extension(old: Theory, new: Theory) -> ExtensionClass:

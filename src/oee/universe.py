@@ -387,7 +387,6 @@ class NoveltyKind(Enum):
 
 @dataclass(frozen=True, slots=True)
 class NoveltyEvent:
-    tick: int
     kind: NoveltyKind
     predicate: int | None = None
     value: bool | None = None
@@ -413,8 +412,6 @@ class UniverseGenerator:
             raise ConfigError("initial_predicates must be >= 1")
         if clause_arity < 2:
             raise ConfigError("clause_arity must be >= 2")
-        self.seed = seed
-        self.weights = weights
         # kind i is drawn when u / 2**64 < w_0 + ... + w_i: u * den < num << 64
         self._cuts = []
         acc = Fraction(0)
@@ -477,9 +474,7 @@ class UniverseGenerator:
         )
         for c in falsified:
             self._clauses.remove(c)
-        return NoveltyEvent(
-            self.tick_index, NoveltyKind.VARIATION, predicate=p, value=new_value, retracted=falsified
-        )
+        return NoveltyEvent(NoveltyKind.VARIATION, predicate=p, value=new_value, retracted=falsified)
 
     def _innovation(self) -> NoveltyEvent:
         size = min(len(self._order), 2 + self._rng.randrange(max(1, self.clause_arity - 1)))
@@ -497,7 +492,7 @@ class UniverseGenerator:
             candidate = Clause(frozenset(literals))
         if candidate not in self._clauses:
             self._clauses.append(candidate)
-        return NoveltyEvent(self.tick_index, NoveltyKind.INNOVATION, clause=candidate)
+        return NoveltyEvent(NoveltyKind.INNOVATION, clause=candidate)
 
     def _emergence(self) -> NoveltyEvent:
         new = self._order[-1] + 1
@@ -514,9 +509,7 @@ class UniverseGenerator:
         else:
             link = clause((new, not value), (anchor, held))
         self._clauses.append(link)
-        return NoveltyEvent(
-            self.tick_index, NoveltyKind.EMERGENCE, predicate=new, value=value, clause=link
-        )
+        return NoveltyEvent(NoveltyKind.EMERGENCE, predicate=new, value=value, clause=link)
 
     def observe(
         self,

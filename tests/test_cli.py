@@ -22,6 +22,11 @@ SCENARIO = {
     "run": {"ticks": 6, "depth": 1, "replicates": 3},
 }
 
+# an integer of 5,000 digits, past the 4,300 that `int` converts from a string
+# (sys.get_int_max_str_digits())
+LONG = "9" * 5000
+LONG_INTEGER = "an integer exceeds the limit of 4,300 digits"
+
 
 def invoke(*args):
     return CliRunner().invoke(main, list(args))
@@ -96,6 +101,7 @@ def test_check_bad_frame_exit_2(tmp_path):
     # a state's true-mask is as wide as its largest predicate index
     ({**FRAME, "predicates": [0, 1_000_001]},
      "error: predicates[1]: exceeds the limit of 1,000,000 (universe.MAX_PREDICATE_INDEX)"),
+    ({**FRAME, "partitions": {LONG: FRAME["partitions"]["1"]}}, f"error: partitions: {LONG_INTEGER}"),
 ])
 def test_check_rejects_bad_frame_field(tmp_path, frame, message):
     path = tmp_path / "f.json"
@@ -522,13 +528,35 @@ def test_formula_over_the_nesting_limit_exit_1(tmp_path, formula):
     ("t.jsonl", json.dumps(TRACE_HEADER) + '\n{"tick": 2, "tick": 3, "seq": 0, "kind": "revision", '
      '"agent": 1, "payload": {}}\n',
      ["bins", "--trace", "{}"], "error: line 2: repeats the key 'tick'"),
-], ids=["scenario", "frame", "event", "trace-line"])
+    ("s.json", '{"seed": %s, "run": {"ticks": 6, "depth": 1, "replicates": 1}}' % LONG,
+     ["run", "--scenario", "{}", "--out", "{dir}/t.jsonl"], f"error: $: {LONG_INTEGER}"),
+    ("t.jsonl", '{"kind": "header", "agents": [1], "depth": 1, "ticks": %s}\n' % LONG,
+     ["bins", "--trace", "{}"], f"error: line 1: {LONG_INTEGER}"),
+    ("e.json", '{"states": ["00"], "weight": %s}' % LONG,
+     ["agree", "--frame", "{dir}/frame.json", "--event", "{}", "--at", "11"],
+     f"error: $: {LONG_INTEGER}"),
+], ids=["scenario", "frame", "event", "trace-line",
+        "scenario-long-integer", "trace-header-long-integer", "event-long-integer"])
 def test_repeated_json_key_exit_2(tmp_path, name, text, command, message):
-    """`json` keeps the last of two equal keys; each loader names the repeat.
-    The files are raw text, because `json.dumps` cannot repeat a key."""
+    """`json` keeps the last of two equal keys, and `int` refuses a long
+    integer with a bare ValueError; each loader names the fault at its file
+    or line.  The files are raw text, because `json.dumps` can write neither."""
     (tmp_path / "frame.json").write_text(json.dumps(FRAME))
     path = tmp_path / name
     path.write_text(text)
     result = invoke(*[a.format(path, dir=tmp_path) for a in command])
     assert result.exit_code == 2
     assert result.output.strip() == message
+
+
+@pytest.mark.parametrize("formula, offset", [
+    ("p" + LONG, 1), ("K" + LONG + " p0", 1), ("C{1," + LONG + "} p0", 4),
+], ids=["atom", "agent", "group"])
+def test_formula_index_past_the_digit_limit_exit_1(tmp_path, formula, offset):
+    (tmp_path / "f.json").write_text(json.dumps(FRAME))
+    for args in (["parse", formula],
+                 ["check", "--frame", str(tmp_path / "f.json"), "--formula", formula, "--at", "00"]):
+        result = invoke(*args)
+        assert result.exit_code == 1
+        assert result.output == (f"error: parse error at offset {offset}: "
+                                 "expected at most 4,300 digits, found 5,000 digits\n")

@@ -55,6 +55,10 @@ def test_parse_errors():
         parse("K p0")
     with pytest.raises(ParseError):
         parse("q1")
+    # `str.isdigit` holds for "²", which `int` refuses: indices are decimal
+    for text in ("p²", "K² p0", "C{²} p0"):
+        with pytest.raises(ParseError):
+            parse(text)
     err = None
     try:
         parse("p0 & & p1")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oee import harness
+from oee import formula, harness
 from oee.epistemics import AgentState, Truth3, agent_state, decide
 from oee.formula import atoms, enumerate_sentences, evaluate
 from oee.harness import (
@@ -536,24 +536,18 @@ def test_compare_strategies_deterministic():
 
 
 def test_compare_strategies_limit_counts_the_sentences(monkeypatch):
-    """The limit compares |S_d| from the recurrence, which equals the
-    enumeration's length, and fires before any sentence is enumerated."""
+    """compare_strategies runs at exactly formula.MAX_SENTENCES sentences and
+    past it fails with `enumerate_sentences`' message."""
     # variation only: the two initial predicates stay the revealed set
     s = scenario_from_dict(minimal(initial_predicates=2, weights=[1, 0, 0],
                                    run={"ticks": 2, "depth": 2}))
     count = len(enumerate_sentences({0, 1}, 2))
-    monkeypatch.setattr(harness, "MAX_SENTENCES", count)
+    monkeypatch.setattr(formula, "MAX_SENTENCES", count)
     compare_strategies(s, 0)
-
-    def no_sentences(*args):
-        raise AssertionError("sentences were enumerated")
-
-    monkeypatch.setattr(harness, "enumerate_sentences", no_sentences)
-    monkeypatch.setattr(harness, "MAX_SENTENCES", count - 1)
+    monkeypatch.setattr(formula, "MAX_SENTENCES", count - 1)
     with pytest.raises(ValueError, match=f"limit of {count - 1:,} sentences"):
         compare_strategies(s, 0)
     monkeypatch.undo()
-    monkeypatch.setattr(harness, "enumerate_sentences", no_sentences)
     # |S_3| over 2 predicates is 1,854,176
     deeper = replace(s, run=replace(s.run, depth=3))
     with pytest.raises(ValueError, match="depth 3 over 2 predicates .* limit of 1,000,000"):

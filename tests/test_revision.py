@@ -46,14 +46,6 @@ def test_no_change_without_news():
     a = agent(theory_of({0}, unit(0, True)))
     out = revise(a, {(0, True)}, DEDUCTIVE)
     assert out.theory == a.theory
-    assert out.history == a.history
-
-
-def test_history_gains_epoch_on_change():
-    a = agent(theory_of({0}, unit(0, True)))
-    out = revise(a, {(1, False)}, DEDUCTIVE)
-    assert len(out.history) == len(a.history) + 1
-    assert out.history[-1][1] == 2  # predicate count
 
 
 def test_strategies_diverge_on_bridging():
