@@ -208,8 +208,9 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 def parse_json(text: str, path: str = "$"):
     """The JSON document `text`; invalid JSON, an object that repeats a key
-    (which `json` would drop without a word), or an integer longer than
-    Python converts from a string, is a SchemaError at `path`."""
+    (which `json` would drop without a word), an integer longer than Python
+    converts from a string, or nesting deeper than the recursion limit, is a
+    SchemaError at `path`."""
     def unique(pairs):
         data = {}
         for key, value in pairs:
@@ -227,6 +228,9 @@ def parse_json(text: str, path: str = "$"):
     except ValueError:  # `int` refuses more digits than sys.get_int_max_str_digits()
         raise SchemaError(path, f"an integer exceeds the limit of "
                           f"{sys.get_int_max_str_digits():,} digits") from None
+    except RecursionError:  # `json` nests one call deeper per array or object
+        raise SchemaError(path, f"nesting exceeds the limit of "
+                          f"{sys.getrecursionlimit():,} levels") from None
 
 
 def load_scenario(path) -> Scenario:

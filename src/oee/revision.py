@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from hashlib import sha256
 from itertools import combinations
 from math import comb
 
@@ -28,7 +29,6 @@ from .universe import (
     mask_bits,
     residues,
     satisfiable,
-    text_digest,
     unit,
 )
 
@@ -69,12 +69,20 @@ def _fixes(a, b, clauses, member) -> bool:
     return all(member(frozenset((swap.get(p, p), pol) for p, pol in k)) for k in clauses)
 
 
-def _symmetry_delta(predicates, base):
-    """`score(added=None, dropped=())`: the number of transpositions of two of
+# the views one aesthetic ranking keeps: where each candidate drops another
+# subset of a predicate's clauses, there would be one per candidate
+_VIEWS = 1 << 12
+
+
+def _symmetry_delta(predicates, base, gone=0):
+    """`score(added=None, dropped=0)`: the number of transpositions of two of
     `predicates` that fix the clause set `base` with the clause literals
-    `added` (absent from `base`) or without the clauses indexed in `dropped`;
+    `added` (absent from `base`) or without the clauses whose bits are set in
+    the mask `dropped`;
     with an empty delta, the symmetry score of `base` (Crawford, Ginsberg,
-    Luks & Roy, KR 1996).  Structures are built once for `base`.
+    Luks & Roy, KR 1996).  Structures are built once for `base`.  The clauses
+    whose bits are set in the mask `gone` are out of `base` and of every delta:
+    the score is that of the clause set without them.
 
     A transposition (a b) fixing a clause set maps the clauses of a onto those
     of b, so a and b have equal signatures, the sorted (polarity, clause
@@ -97,24 +105,36 @@ def _symmetry_delta(predicates, base):
     clauses, so it shares a clause with a delta predicate in the new set
     exactly when it does in `base`."""
     lits = [c.literals for c in base]
-    index = {k: i for i, k in enumerate(lits)}
+    index = {k: i for i, k in enumerate(lits) if not gone >> i & 1}
     touching = dict.fromkeys(predicates, 0)  # p -> bit i for each clause i of p
-    for i, c in enumerate(base):
-        for p, _ in c.literals:
+    for i in index.values():
+        for p, _ in lits[i]:
             touching[p] |= 1 << i
     views = {}
+    faces = {}  # (i, a) -> the face of clause i for a, and a's (polarity, length) in it
+
+    def face(i, a):
+        f = faces.get((i, a))
+        if f is None:
+            k = lits[i]
+            f = faces[i, a] = (_orbit_face(k, a), (dict(k)[a], len(k)))
+        return f
 
     def view(a, mask):
         """a's clauses among those of `mask`, its orbit key (each clause with
         a replaced by a placeholder) and its signature (the sorted (polarity,
-        length) of each); the same few subsets recur across candidates."""
+        length) of each); the same few subsets recur across candidates, and
+        each clause's face is built once."""
         v = views.get((a, mask))
         if v is None:
-            clauses = [lits[i] for i in mask_bits(mask)]
+            if len(views) == _VIEWS:
+                views.clear()
+            bits = mask_bits(mask)
+            parts = [face(i, a) for i in bits]
             v = views[a, mask] = (
-                clauses,
-                frozenset([_orbit_face(k, a) for k in clauses]),
-                tuple(sorted([(pol, len(k)) for k in clauses for p, pol in k if p == a])),
+                [lits[i] for i in bits],
+                frozenset([f for f, _ in parts]),
+                tuple(sorted([s for _, s in parts])),
             )
         return v
 
@@ -132,17 +152,15 @@ def _symmetry_delta(predicates, base):
     fixing = {a: count[key] - 1 + len(sharing[a]) for a, (_, key, _) in old.items()}
     whole = sum(fixing.values()) // 2
 
-    def score(added=None, dropped=()):
+    def score(added=None, dropped=0):
         if added is None:
-            gone = 0
-            for i in dropped:
-                gone |= 1 << i
-            new = {a: view(a, touching[a] & ~gone)
-                   for i in dropped for a, _ in lits[i]}
+            dropped &= ~gone
+            new = {a: view(a, touching[a] & ~dropped)
+                   for i in mask_bits(dropped) for a, _ in lits[i]}
 
             def new_member(k):
                 i = index.get(k)
-                return i is not None and not gone >> i & 1
+                return i is not None and not dropped >> i & 1
         else:
             new = {}
             for a, pol in added:
@@ -185,19 +203,21 @@ def _orbit_face(k, p):
 
 def _fixing_pairs(views, member) -> int:
     """The transpositions of two predicates of `views` (predicate -> (clauses,
-    orbit key, signature)) that fix the clause set `member` tells, tried
-    within each signature."""
-    groups = defaultdict(list)
+    orbit key, signature)) that fix the clause set `member` tells.  As in
+    `_symmetry_delta`, two predicates with equal orbit keys share no clause
+    and fix the set, and of the others only those sharing a clause can: they
+    are tried, each pair once."""
+    total = sum(k * (k - 1) // 2 for k in Counter(key for _, key, _ in views.values()).values())
     for a, (clauses, _, sig) in views.items():
-        groups[sig].append((a, clauses))
-    return sum(
-        _fixes(a, b, ka + kb, member)
-        for group in groups.values()
-        for (a, ka), (b, kb) in combinations(group, 2)
-    )
+        for b in {q for k in clauses for q, _ in k if q > a and q in views}:
+            kb, _, sig_b = views[b]
+            if sig_b == sig and _fixes(a, b, clauses + kb, member):
+                total += 1
+    return total
 
 
-def _strategy_key(strategy: RevisionStrategy, predicates, base, dropped=None, text=None):
+def _strategy_key(strategy: RevisionStrategy, predicates, base, dropped=None, text=None,
+                  common=0):
     """The score of `strategy` for each candidate, lower first.  Candidates
     rank by score, then by a tie that tells any two apart and that `_ranked`
     computes only among equal scores: a repair's retraction age, a bridge's
@@ -205,32 +225,44 @@ def _strategy_key(strategy: RevisionStrategy, predicates, base, dropped=None, te
 
     A candidate `c` is described by its delta against the theory over
     `predicates` with the clause list `base`: a repair drops the clauses
-    indexed in `dropped(c)`; without `dropped`, `c` is a bridge, the one
-    clause it adds.  Each strategy scores the delta through the one view it
-    needs: random hashes the candidate's canonical text `text(c)`, built here
-    from one rendering of `base` unless the caller has it, and is the only
-    strategy that builds texts; heuristic prefers fewer literals, counted over
-    the delta alone since the base is common; aesthetic prefers a higher
+    whose bits are set in the mask `dropped(c)` (bit i for `base[i]`); without
+    `dropped`, `c` is a bridge, the one clause it adds.  Each strategy scores
+    the delta through the one view it needs: random hashes the candidate's
+    canonical text `text(c)`, built here from one rendering of `base` unless
+    the caller has it, and is the only strategy that builds texts; heuristic
+    prefers fewer literals, counted over the delta alone since the base is
+    common, one popcount per literal count; aesthetic prefers a higher
     symmetry score of the candidate's clause set, the base's score corrected
     for the transpositions that move a predicate of the delta
-    (`_symmetry_delta`), with no theory built per candidate.  Deductive ranks
-    repairs only, each `c` its retraction set: by the number of clauses
-    retracted."""
+    (`_symmetry_delta`), with no theory built per candidate; the clauses of
+    the mask `common`, which every repair drops, are taken out of its base
+    once, so that only the rest of each delta is re-examined.  Deductive
+    ranks repairs only, each `c` its retraction mask: by the number of
+    clauses retracted."""
     kind = strategy.kind
     if kind is StrategyKind.DEDUCTIVE:
-        return len
+        return int.bit_count
     if kind is StrategyKind.RANDOM:
         if text is None:
             texts = canonical_texts(predicates, base)
             text = lambda c: texts(dropped(c))
         seed = mix(strategy.seed)  # fold(mix(seed), h) == mix(seed, h)
-        return lambda c: fold(seed, int(text_digest(text(c)), 16))
+        # the first 8 digest bytes: int(text_digest(t), 16) without the hex
+        return lambda c: fold(seed, int.from_bytes(sha256(text(c).encode()).digest()[:8], "big"))
     if kind is StrategyKind.HEURISTIC:
         if dropped is None:
             return lambda c: len(c.literals)
-        sizes = [len(c.literals) for c in base]
-        return lambda c: -sum(sizes[i] for i in dropped(c))
-    score = _symmetry_delta(predicates, base)
+        classes = defaultdict(int)  # literal count -> mask of the base clauses with it
+        for i, c in enumerate(base):
+            classes[len(c.literals)] |= 1 << i
+        classes = list(classes.items())
+
+        def literals_dropped(c):
+            d = dropped(c)
+            return -sum(size * (d & m).bit_count() for size, m in classes)
+
+        return literals_dropped
+    score = _symmetry_delta(predicates, base, common)
     if dropped is None:
         return lambda c: -score(added=c.literals)
     return lambda c: -score(dropped=dropped(c))
@@ -255,13 +287,53 @@ REPAIR_BREADTH = 128
 taking further size levels, whatever the budget."""
 
 MAX_REPAIR_CHECKS = 1_000_000
-"""The most retraction sets one repair search walks: a size level that would
-take the count past it is refused before it starts.  The tests, the fixtures
-and the benchmark workloads walk at most 1,093."""
+"""The most sets one repair search takes on: its exact pool of candidates
+plus the subsets it walks inside unsatisfiable components.  Both are counted
+before they are built or walked, and a search that would pass the limit is
+refused.  The fixtures take on at most 506 and the benchmark workloads at
+most 470; the tests take on at most 6,075, in the large-vocabulary probe
+that a walk of every subset level by level would face 7.1 * 10^10 sets for."""
 
 
 class RepairLimit(ValueError):
-    """A repair search would walk more than MAX_REPAIR_CHECKS retraction sets."""
+    """A repair search would take on more than MAX_REPAIR_CHECKS candidates
+    and component subsets."""
+
+
+def _suspects(clauses, reach: int) -> int:
+    """The mask of the clauses linked to the predicates of the mask `reach`
+    through shared predicates (bit i for `clauses[i]`)."""
+    suspects = 0
+    grown = True
+    while grown:
+        grown = False
+        for i, c in enumerate(clauses):
+            if not suspects >> i & 1 and c.mask & reach:
+                suspects |= 1 << i
+                reach |= c.mask
+                grown = True
+    return suspects
+
+
+def _components(residue, indices):
+    """The clause indices `indices`, each with a residue (index -> (pos_mask,
+    neg_mask)), split into connected components: two clauses connect when
+    their residues share a predicate.  Each component is a sorted list."""
+    groups = []  # (predicate mask, indices) of the components so far
+    for i in indices:
+        pos, neg = residue[i]
+        mask = pos | neg
+        members = [i]
+        rest = []
+        for m, g in groups:
+            if m & mask:
+                mask |= m
+                members += g
+            else:
+                rest.append((m, g))
+        rest.append((mask, members))
+        groups = rest
+    return [sorted(g) for _, g in groups]
 
 
 def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, budget: int):
@@ -273,16 +345,27 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
     and the clauses it reduces stay satisfiable, the one theory that records
     it is returned, whatever the strategy and budget.  A consistent theory
     whose unit clauses already assert every observed literal is that theory
-    itself, returned as it is.  Otherwise the
-    candidates are the consistent retraction sets drawn from the suspect pool,
-    the clauses linked to an observed predicate through shared predicates.
-    They are taken a whole size level at a time by increasing size:
+    itself, returned as it is.  Otherwise the candidates are the consistent
+    retraction sets drawn from the suspect pool, the clauses linked to an
+    observed predicate through shared predicates, each a mask over clause
+    indices.  Every one retracts the falsified clauses.  They are taken a
+    whole size level at a time by increasing size:
 
     - deductive: up to the first level at which they make `budget` distinct
       theories, so the repairs are the first retraction sets in increasing
       (size, age) order;
     - other strategies: up to the first level at which their count reaches
       REPAIR_BREADTH, which also ends a deductive search.
+
+    The levels are counted, not walked.  When the residues of
+    the optional suspects are satisfiable together, every retraction set is
+    consistent, and a level of k optional clauses holds C(optional, k) sets.
+    Otherwise each unsatisfiable component has its consistent deletions
+    listed by size, and a level's count is the coefficient of the product of
+    (1 + x) per loose clause and each component's counting polynomial.  The
+    last level and the exact pool size are known before any candidate is
+    built, and the pool is enumerated as that product: one deletion per
+    component, any loose clauses.
 
     Candidates rank by the strategy's score, then by age: the retracted
     clauses counted from the newest, sorted.  Distinct retraction sets have
@@ -298,8 +381,9 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
     depend on `budget`.  Observed literals that give a predicate both values
     raise ContradictoryObservations; a theory that is inconsistent apart from
     the suspect pool, which no retraction from the pool repairs, raises
-    ValueError; a size level that would take the retraction sets walked past
-    MAX_REPAIR_CHECKS raises RepairLimit before it starts."""
+    ValueError; a search whose pool plus the subsets walked inside its
+    components would pass MAX_REPAIR_CHECKS raises RepairLimit before it
+    builds or walks them."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     conflict = frozenset(conflict)
@@ -321,73 +405,108 @@ def propose_revisions(agent: AgentState, conflict, strategy: RevisionStrategy, b
     index = {c: i for i, c in enumerate(clauses)}
     unit_slots = [(u, index.get(u)) for u in (unit(p, v) for p, v in conflict)]
 
-    def kept(retracted):
-        return tuple(c for i, c in enumerate(clauses) if i not in retracted) + tuple(
-            u for u, j in unit_slots if j is None or j in retracted
+    def kept(retracted: int):
+        return tuple(c for i, c in enumerate(clauses) if not retracted >> i & 1) + tuple(
+            u for u, j in unit_slots if j is None or retracted >> j & 1
         )
 
     falsified, residue = residues(clauses, observed)
     if not falsified and satisfiable(residue.values()):
-        return [Theory(preds, kept(()))]
+        return [Theory(preds, kept(0))]
 
     deductive = strategy.kind is StrategyKind.DEDUCTIVE
     # Any unsatisfiable core of a consistent theory plus the observation units
     # is connected (via shared predicates) to an observed predicate, so
     # minimal repairs retract only conflict-connected clauses.
-    reach = true | false
-    suspects: set[int] = set()
-    grown = True
-    while grown:
-        grown = False
-        for i, c in enumerate(clauses):
-            if i not in suspects and c.mask & reach:
-                suspects.add(i)
-                reach |= c.mask
-                grown = True
+    suspects = _suspects(clauses, true | false)
     # every falsified clause mentions only observed predicates, so is a
     # suspect; the clauses outside the suspect pool share no predicate with
     # it, so they are satisfiable apart or not at all, and retracting the
     # whole pool repairs the theory exactly when they are
-    if not satisfiable([r for i, r in residue.items() if i not in suspects]):
+    if not satisfiable([r for i, r in residue.items() if not suspects >> i & 1]):
         raise ValueError("the theory is inconsistent apart from the clauses the observation reaches")
-    optional = sorted(suspects - falsified)
-    pool_residues = frozenset(suspects & residue.keys())
-    verdicts: dict[frozenset[int], bool] = {}
+    base = sum(1 << i for i in falsified)
+    optional = [i for i in mask_bits(suspects) if i not in falsified]
+    # A kept set is consistent exactly when its part of each component of the
+    # residues is.  Loose clauses keep every kept set as consistent as it was:
+    # those the observation satisfies, and those of satisfiable components.
+    # Knots are the unsatisfiable components.
+    open_ = [i for i in optional if i in residue]
+    loose, knots = optional, []
+    if not satisfiable([residue[i] for i in open_]):
+        loose = [i for i in optional if i not in residue]
+        for component in _components(residue, open_):
+            if satisfiable([residue[i] for i in component]):
+                loose += component
+            else:
+                knots.append(component)
+    loose_bits = [1 << i for i in loose]
+    # deletions[t][j]: the masks of the j-clause deletions that leave knot t
+    # satisfiable, walked a size at a time as the levels need them; none of 0
+    deletions = [[[]] for _ in knots]
+    walked = total = 0
+
+    def refuse(k, walking):
+        return RepairLimit(
+            f"repair search over a pool of {suspects.bit_count()} clauses refused at size level "
+            f"{len(falsified) + k}: it would walk {total + walking:,} sets ({total:,} candidates "
+            f"and {walking:,} subsets inside {len(knots)} unsatisfiable components), past the "
+            f"limit of {MAX_REPAIR_CHECKS:,} (revision.MAX_REPAIR_CHECKS)"
+        )
+
+    def level(k):
+        """The consistent retraction sets with k optional clauses: one
+        deletion per knot, then loose clauses to make up k."""
+        choices = [(base, 0)]
+        for found in deletions:
+            choices = [(m | d, s + j) for m, s in choices
+                       for j in range(1, min(len(found), k - s + 1)) for d in found[j]]
+        for m, s in choices:
+            for extra in combinations(loose_bits, k - s):
+                yield m | sum(extra)
+
     candidates = []
-    checks = 0
-    for size in range(len(falsified), len(suspects) + 1):
-        checks += comb(len(optional), size - len(falsified))
-        if checks > MAX_REPAIR_CHECKS:
-            raise RepairLimit(
-                f"repair search over a pool of {len(suspects)} clauses refused at size level "
-                f"{size}: it would walk {checks:,} retraction sets, past the limit of "
-                f"{MAX_REPAIR_CHECKS:,} (revision.MAX_REPAIR_CHECKS)"
-            )
-        for extra in combinations(optional, size - len(falsified)):
-            kept_residues = pool_residues.difference(extra)
-            consistent = verdicts.get(kept_residues)
-            if consistent is None:
-                consistent = verdicts[kept_residues] = satisfiable(
-                    [residue[i] for i in kept_residues]
-                )
-            if consistent:
-                candidates.append(falsified.union(extra))
+    built = 0  # the levels whose candidates are in `candidates`
+    for k in range(len(optional) + 1):
+        if knots and k:
+            step = sum(comb(len(knot), k) for knot in knots)
+            if total + walked + step > MAX_REPAIR_CHECKS:
+                raise refuse(k, walked + step)
+            walked += step
+            for knot, found in zip(knots, deletions):
+                if k <= len(knot):
+                    found.append([sum(1 << i for i in gone) for gone in combinations(knot, k)
+                                  if satisfiable([residue[i] for i in knot if i not in gone])])
+        # the coefficient of x^k: the knots' deletions by total size s, each
+        # with k - s loose clauses
+        ways = [1]
+        for found in deletions:
+            counts = [len(f) for f in found]
+            ways = [sum(ways[s - j] * counts[j] for j in range(len(counts)) if 0 <= s - j < len(ways))
+                    for s in range(min(k, len(ways) + len(counts) - 2) + 1)]
+        total += sum(w * comb(len(loose), k - s) for s, w in enumerate(ways))
+        if not (total >= REPAIR_BREADTH or deductive and total >= budget or k == len(optional)):
+            continue
+        if total + walked > MAX_REPAIR_CHECKS:
+            raise refuse(k, walked)
+        while built <= k:
+            candidates.extend(level(built))
+            built += 1
         # one candidate makes one theory, so a search for one stops at its
-        # first consistent level without building any
-        if len(candidates) >= REPAIR_BREADTH or (
-            deductive
-            and len(candidates) >= budget
-            and (budget == 1 or len({kept(r) for r in candidates}) >= budget)
-        ):
+        # first consistent level
+        if total >= REPAIR_BREADTH or not deductive or budget == 1 or len(
+            {kept(r) for r in candidates}
+        ) >= budget:
             break
 
     # As a clause set, a candidate is the theory less its retracted clauses,
     # except the observed units among them, which are recorded again, plus
     # the observed units the theory lacks.
-    recorded = {j for _, j in unit_slots if j is not None}
+    recorded = sum(1 << j for _, j in unit_slots if j is not None)
     fresh = tuple(u for u, j in unit_slots if j is None)
-    score = _strategy_key(strategy, preds, clauses + fresh, dropped=lambda r: r - recorded)
-    age = lambda r: tuple(sorted(n - 1 - i for i in r))
+    score = _strategy_key(strategy, preds, clauses + fresh, dropped=lambda r: r & ~recorded,
+                          common=base & ~recorded)
+    age = lambda r: tuple(n - 1 - i for i in reversed(mask_bits(r)))
     ranked = []
     seen = set()
     for retracted in _ranked(candidates, score, age):

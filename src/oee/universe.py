@@ -215,7 +215,7 @@ class Theory:
         return tuple(State(self.predicates, frozenset(mask_bits(m))) for m in _models(self))
 
     def canonical_text(self) -> str:
-        return canonical_texts(self.predicates, self.clauses)(())
+        return canonical_texts(self.predicates, self.clauses)(0)
 
     def digest(self) -> str:
         return text_digest(self.canonical_text())
@@ -240,11 +240,13 @@ def _rendering(predicates: frozenset[int], clauses):
 
 def canonical_texts(predicates: frozenset[int], clauses):
     """`text(dropped)`: the canonical text of the theory over `predicates` that
-    keeps the clauses not indexed in `dropped`, from one rendering in sort-key order."""
+    keeps the clauses whose bits are clear in the mask `dropped` (bit i for the
+    clause at index i), from one rendering in sort-key order."""
     head, rendering = _rendering(predicates, clauses)
+    rendering = [(1 << i, t) for i, (_, t) in rendering]
 
-    def text(dropped) -> str:
-        return head + "; ".join([t for i, (_, t) in rendering if i not in dropped])
+    def text(dropped: int) -> str:
+        return head + "; ".join([t for bit, t in rendering if not dropped & bit])
 
     return text
 

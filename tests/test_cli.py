@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,9 @@ SCENARIO = {
 # (sys.get_int_max_str_digits())
 LONG = "9" * 5000
 LONG_INTEGER = "an integer exceeds the limit of 4,300 digits"
+# arrays nested past the recursion limit, which `json` meets with RecursionError
+DEEP = "[" * 100_000 + "]" * 100_000
+NESTING = f"nesting exceeds the limit of {sys.getrecursionlimit():,} levels"
 
 
 def invoke(*args):
@@ -535,8 +539,16 @@ def test_formula_over_the_nesting_limit_exit_1(tmp_path, formula):
     ("e.json", '{"states": ["00"], "weight": %s}' % LONG,
      ["agree", "--frame", "{dir}/frame.json", "--event", "{}", "--at", "11"],
      f"error: $: {LONG_INTEGER}"),
+    ("s.json", DEEP, ["run", "--scenario", "{}", "--out", "{dir}/t.jsonl"], f"error: $: {NESTING}"),
+    ("f.json", DEEP, ["check", "--frame", "{}", "--formula", "p0", "--at", "00"],
+     f"error: $: {NESTING}"),
+    ("e.json", DEEP, ["agree", "--frame", "{dir}/frame.json", "--event", "{}", "--at", "11"],
+     f"error: $: {NESTING}"),
+    ("t.jsonl", json.dumps(TRACE_HEADER) + "\n" + DEEP + "\n", ["bins", "--trace", "{}"],
+     f"error: line 2: {NESTING}"),
 ], ids=["scenario", "frame", "event", "trace-line",
-        "scenario-long-integer", "trace-header-long-integer", "event-long-integer"])
+        "scenario-long-integer", "trace-header-long-integer", "event-long-integer",
+        "scenario-deep", "frame-deep", "event-deep", "trace-line-deep"])
 def test_repeated_json_key_exit_2(tmp_path, name, text, command, message):
     """`json` keeps the last of two equal keys, and `int` refuses a long
     integer with a bare ValueError; each loader names the fault at its file

@@ -59,6 +59,7 @@ from oee.universe import (
     clause,
     empty_theory,
     extended_texts,
+    mask_bits,
     residues,
     satisfiable,
     text_digest,
@@ -113,6 +114,11 @@ def reference_text(theory: Theory) -> str:
     each clause rendered, in `Clause.sort_key` order."""
     body = "; ".join(c.render() for c in sorted(theory.clauses, key=Clause.sort_key))
     return f"[{','.join(str(p) for p in sorted(theory.predicates))}] {body}"
+
+
+def as_mask(indices) -> int:
+    """The clause indices as a mask, bit i for clause i."""
+    return sum(1 << i for i in set(indices))
 
 
 def reference_age(retracted, n_clauses: int):
@@ -250,7 +256,7 @@ def parent_bridge(theory: Theory, options, strategy: RevisionStrategy) -> Theory
     slots = range(len(theory.clauses), len(clauses))
     others = {i: frozenset(slots).difference([i]) for i in slots}
     text = canonical_texts(theory.predicates, clauses)
-    texts = {i: text(dropped) for i, dropped in others.items()}
+    texts = {i: text(as_mask(dropped)) for i, dropped in others.items()}
     if strategy.kind is StrategyKind.RANDOM:
         key = lambda i: (mix(strategy.seed, int(text_digest(texts[i]), 16)), texts[i])
     elif strategy.kind is StrategyKind.HEURISTIC:
@@ -475,7 +481,7 @@ def test_canonical_texts_match_reference(clauses, data):
     preds = frozenset(extra).union(*(c.predicates() for c in clauses))
     dropped = data.draw(st.sets(st.integers(0, len(clauses))))
     kept = tuple(c for i, c in enumerate(clauses) if i not in dropped)
-    assert canonical_texts(preds, clauses)(dropped) == reference_text(Theory(preds, kept))
+    assert canonical_texts(preds, clauses)(as_mask(dropped)) == reference_text(Theory(preds, kept))
     assert Theory(preds, clauses).canonical_text() == reference_text(Theory(preds, clauses))
     # the bridging shape: a theory's clauses plus options, all options but one dropped
     options = data.draw(st.lists(wide_clauses.filter(lambda c: c not in clauses),
@@ -486,7 +492,7 @@ def test_canonical_texts_match_reference(clauses, data):
     slots = range(len(clauses), len(clauses) + len(options))
     for i, option in zip(slots, options):
         want = reference_text(Theory(preds, clauses + (option,)))
-        assert text(set(slots) - {i}) == want
+        assert text(as_mask(set(slots) - {i})) == want
         assert extended(option) == want
 
 
@@ -659,7 +665,7 @@ def test_aesthetic_repair_score_matches_symmetry_score(theory, data):
                                  dropped=lambda r: r)
     for dropped in sets:
         kept = tuple(c for i, c in enumerate(theory.clauses) if i not in dropped)
-        assert key(dropped) == -reference_symmetry_score(Theory(theory.predicates, kept))
+        assert key(as_mask(dropped)) == -reference_symmetry_score(Theory(theory.predicates, kept))
 
 
 def test_aesthetic_repair_score_of_a_broken_square():
@@ -670,7 +676,7 @@ def test_aesthetic_repair_score_of_a_broken_square():
               clause((a, True), (z, True)), clause((b, True), (z, True)))
     key = revision._strategy_key(AESTHETIC, frozenset(range(4)), square, dropped=lambda r: r)
     kept = Theory(frozenset(range(4)), square[::3])
-    assert key(frozenset({1, 2})) == -reference_symmetry_score(kept) == -2
+    assert key(0b0110) == -reference_symmetry_score(kept) == -2
 
 
 # --- the candidate set ---------------------------------------------------------
@@ -727,8 +733,8 @@ def test_candidate_sets_follow_their_definition():
 
 
 def test_repair_limit_refuses_a_level_before_walking_it(monkeypatch):
-    # the heuristic search above walks levels 1..4 of its 9 optional clauses:
-    # 1 + 9 + 36 + 84 = 130 retraction sets
+    # the heuristic search above ranks every retraction set of up to 3 of its
+    # 9 optional clauses, all consistent: an exact pool of 1 + 9 + 36 + 84 = 130
     conflict = {(0, True)}
     theory = Theory(
         frozenset(range(10)) | {20},
@@ -746,6 +752,132 @@ def test_repair_limit_refuses_a_level_before_walking_it(monkeypatch):
         propose_revisions(a, conflict, heuristic, 1)
 
 
+def level_walk_pool(agent, conflict, strategy: RevisionStrategy, budget: int):
+    """The retraction sets of the level walk that component enumeration
+    replaced: every set of optional suspects tried a whole size level at a
+    time, each decided by the kernel, up to the first level at which the
+    count reaches REPAIR_BREADTH or, for a deductive search, makes `budget`
+    distinct theories.  None when the observation fits."""
+    theory = agent.theory
+    observed = dict(conflict)
+    clauses = theory.clauses
+    falsified, residue = residues(clauses, observed)
+    if not falsified and satisfiable(residue.values()):
+        return None
+    suspects = set(suspect_pool(theory, conflict))
+    if not satisfiable([r for i, r in residue.items() if i not in suspects]):
+        raise ValueError("inconsistent apart from the suspect pool")
+    optional = sorted(suspects - falsified)
+    candidates = []
+    for size in range(len(optional) + 1):
+        for extra in combinations(optional, size):
+            if satisfiable([residue[i] for i in suspects & residue.keys() if i not in extra]):
+                candidates.append(falsified.union(extra))
+        theories = {repair(theory, conflict, r) for r in candidates}
+        if len(candidates) >= REPAIR_BREADTH or (
+            strategy.kind is StrategyKind.DEDUCTIVE and len(candidates) >= budget
+            and (budget == 1 or len(theories) >= budget)
+        ):
+            break
+    return candidates
+
+
+def engine_pool(agent, conflict, strategy, budget):
+    """`propose_revisions`' repairs and the retraction sets it ranked, or None
+    for the sets when it ranked none; the type of the error it raises."""
+    pools = []
+    real = revision._ranked
+    revision._ranked = lambda c, score, tie: pools.append(list(c)) or real(pools[-1], score, tie)
+    try:
+        repairs = propose_revisions(agent, conflict, strategy, budget)
+    except ValueError as exc:
+        return type(exc)
+    finally:
+        revision._ranked = real
+    return repairs, ([frozenset(mask_bits(r)) for r in pools[0]] if pools else None)
+
+
+@st.composite
+def repair_cases(draw):
+    """A theory whose suspects the observation of p0..p2 falsifies, satisfies
+    or leaves open over p3..p6, so that the open residues can make small
+    unsatisfiable components, and the observation."""
+    observed = draw(st.dictionaries(st.integers(0, 2), st.booleans(), min_size=1, max_size=3))
+    holds = sorted(observed.items())
+    fails = st.sampled_from([(p, not v) for p, v in holds])
+    other = st.tuples(st.integers(3, 6), st.booleans())
+    kinds = (st.lists(fails, min_size=1, max_size=2)
+             | st.tuples(st.lists(fails | other, max_size=2), st.sampled_from(holds))
+             .map(lambda t: t[0] + [t[1]])
+             | st.tuples(fails, st.lists(other, min_size=1, max_size=2)).map(lambda t: [t[0]] + t[1])
+             | st.lists(other, min_size=1, max_size=2))
+    clauses = list(dict.fromkeys(Clause(frozenset(dict(k).items()))
+                                 for k in draw(st.lists(kinds, max_size=10))))
+    if draw(st.booleans()):
+        clauses = true_at(draw(st.fixed_dictionaries({p: st.booleans() for p in range(7)})),
+                          clauses)
+    preds = frozenset(observed).union(*(c.predicates() for c in clauses))
+    return Theory(preds, tuple(clauses)), frozenset(holds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(repair_cases(), strategies, st.integers(1, 4))
+def test_component_pool_matches_the_level_walk(case, strategy, budget):
+    theory, conflict = case
+    a = agent_state(1, theory)
+    got = engine_pool(a, conflict, strategy, budget)
+    try:
+        walked = level_walk_pool(a, sorted(conflict), strategy, budget)
+    except ValueError:
+        assert got is ValueError
+        return
+    repairs, pool = got
+    assert (None if pool is None else set(pool)) == (None if walked is None else set(walked))
+    if walked is not None:
+        n = len(theory.clauses)
+        ranked = sorted(walked, key=lambda r: reference_key(
+            strategy, repair(theory, conflict, r), r, n))
+        want = list(dict.fromkeys(repair(theory, conflict, r) for r in ranked))[:budget]
+        assert repairs == want
+
+
+def two_knots():
+    """p0 observed true falsifies ~p0, leaves two unsatisfiable components
+    (p1, ~p1) and (p2, ~p2, p2 | p3), and six clauses p0 | pi it satisfies."""
+    return Theory(frozenset(range(10)), (
+        unit(0, False),
+        clause((0, False), (1, True)), clause((0, False), (1, False)),
+        clause((0, False), (2, True)), clause((0, False), (2, False)),
+        clause((0, False), (2, True), (3, True)),
+    ) + tuple(clause((0, True), (i, True)) for i in range(4, 10))), {(0, True)}
+
+
+def test_repair_limit_counts_the_exact_pool_and_the_component_walk(monkeypatch):
+    # deletions by size: (2x + x^2) and (2x + 3x^2 + x^3), times (1 + x)^6 for
+    # the loose clauses, give 4, 32 and 113 sets with 2, 3 and 4 optional
+    # clauses: 149 up to size level 5; the components walk 5 + 4 + 1 subsets
+    theory, conflict = two_knots()
+    a = agent_state(1, theory)
+    heuristic = RevisionStrategy(StrategyKind.HEURISTIC)
+    repairs, pool = engine_pool(a, conflict, heuristic, 3)
+    assert len(pool) == 149
+    assert repairs == reference_propose_revisions(a, conflict, heuristic, 3)
+    monkeypatch.setattr(revision, "MAX_REPAIR_CHECKS", 159)
+    assert propose_revisions(a, conflict, heuristic, 3) == repairs
+    monkeypatch.setattr(revision, "MAX_REPAIR_CHECKS", 158)
+    scored = []
+    real = revision._strategy_key
+    monkeypatch.setattr(revision, "_strategy_key", lambda *args, **kw: scored.append(1) or
+                        real(*args, **kw))
+    with pytest.raises(RepairLimit) as refused:
+        propose_revisions(a, conflict, heuristic, 3)
+    assert str(refused.value) == (
+        "repair search over a pool of 12 clauses refused at size level 5: it would walk 159 sets "
+        "(149 candidates and 10 subsets inside 2 unsatisfiable components), past the limit of "
+        "158 (revision.MAX_REPAIR_CHECKS)")
+    assert not scored
+
+
 LARGE_VOCABULARY_PROBE = {
     # two agents at visibility 1/2: a deductive one with the first half of the
     # predicates as its niche and a heuristic one with the middle half
@@ -758,16 +890,26 @@ LARGE_VOCABULARY_PROBE = {
 }
 
 
-def test_large_vocabulary_probe_raises_instead_of_hanging(tmp_path):
+def test_large_vocabulary_probe_raises_instead_of_hanging(tmp_path, monkeypatch):
     # in replicate 0 an observation falsifies 34 of the heuristic agent's
-    # units, and its bridges force the old values, so no retraction of fewer
-    # than 37 of the 228 suspects is consistent; walking C(194, 3) sets and
-    # more would take minutes
+    # units and leaves unsatisfiable components that each need one deletion,
+    # so no retraction of fewer than 39 of the 228 suspects is consistent: a
+    # level walk would face 7.1 * 10^10 sets, where the components give the
+    # exact pool of 6,000 before any is built, and the replicate finishes
     scenario = harness.scenario_from_dict(LARGE_VOCABULARY_PROBE)
     start = time.perf_counter()
-    with pytest.raises(RepairLimit, match="pool of 228 clauses refused at size level 37"):
-        harness.run_full(scenario, 0)
+    result = harness.run_full(scenario, 0)
     assert time.perf_counter() - start < 30
+    assert result.trace.events[-1].tick == 100
+    # one set below its largest search, the same scenario is refused by name,
+    # and `oee run` (in this process, under the same limit) exits 1
+    monkeypatch.setattr(revision, "MAX_REPAIR_CHECKS", 6_074)
+    with pytest.raises(RepairLimit) as refused:
+        harness.run_full(scenario, 0)
+    assert str(refused.value) == (
+        "repair search over a pool of 228 clauses refused at size level 40: it would walk "
+        "6,075 sets (6,000 candidates and 75 subsets inside 5 unsatisfiable components), "
+        "past the limit of 6,074 (revision.MAX_REPAIR_CHECKS)")
     path = tmp_path / "probe.json"
     path.write_text(json.dumps(LARGE_VOCABULARY_PROBE))
     out = tmp_path / "trace.jsonl"
@@ -776,21 +918,52 @@ def test_large_vocabulary_probe_raises_instead_of_hanging(tmp_path):
     assert "revision.MAX_REPAIR_CHECKS" in result.output
 
 
-def test_large_vocabulary_probe_with_an_aesthetic_agent_raises_quickly():
-    # the probe with its heuristic agent scoring by symmetry instead: replicate
-    # 1 is refused at level 13 of a 254-clause pool, which scoring every
-    # bridging option by a whole theory took over 20 s to reach
+def test_large_vocabulary_probe_with_an_aesthetic_agent_raises_quickly(monkeypatch):
+    # the probe with its heuristic agent scoring by symmetry instead:
+    # replicate 1, which a level walk refused at level 13 of a 254-clause
+    # pool, finishes well inside the bound; its largest search ranks 1,924
+    # candidates, and one set below it, that search is refused by name
     data = json.loads(json.dumps(LARGE_VOCABULARY_PROBE))
     data["agents"][1]["strategy"] = "aesthetic"
     scenario = harness.scenario_from_dict(data)
     start = time.perf_counter()
+    result = harness.run_full(scenario, 1)
+    assert result.trace.events[-1].tick == 100
+    monkeypatch.setattr(revision, "MAX_REPAIR_CHECKS", 1_932)
     with pytest.raises(RepairLimit) as refused:
         harness.run_full(scenario, 1)
     assert time.perf_counter() - start < 30
     assert str(refused.value) == (
-        "repair search over a pool of 254 clauses refused at size level 13: it would walk "
-        "2,421,335 retraction sets, past the limit of 1,000,000 (revision.MAX_REPAIR_CHECKS)"
-    )
+        "repair search over a pool of 254 clauses refused at size level 14: it would walk "
+        "1,933 sets (1,924 candidates and 9 subsets inside 3 unsatisfiable components), "
+        "past the limit of 1,932 (revision.MAX_REPAIR_CHECKS)")
+
+
+def _repair_probe():
+    """`scripts/repair_probe.py`, imported as a module."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "repair_probe.py"
+    spec = importlib.util.spec_from_file_location("repair_probe", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_repair_probe_prints_a_row_per_run(capsys):
+    # the script's probe at n = 120 is this file's; at n = 20 replicate 0
+    # runs in a child under the cap, and its largest search ranks 821
+    # retraction sets of one to three clauses from a 41-clause pool
+    probe = _repair_probe()
+    assert probe.scenario(120, "heuristic") == LARGE_VOCABULARY_PROBE
+    assert probe.main(["--n", "20", "--replicates", "0", "--cap", "60"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split()[:3] == ["n", "rep", "strategy"]
+    fields = row.split()
+    assert fields[:9] == ["20", "0", "heuristic", "41/1/0", "0", "(0)/0", "1->3", "821",
+                          "8.2e+02"]
+    assert fields[-1] == "finished"
 
 
 AESTHETIC_SCENARIO = {
