@@ -4,14 +4,16 @@ SHA-256 of each JSONL trace, marked against the digest pinned in
 
     python3 scripts/determinism.py PYTHON [PYTHON ...]
 
-Each PYTHON is the path of an interpreter (3.10 or later); it needs only the
-standard library, since the engine's run path imports no third-party module.
-Exits 1 when a digest differs from its pin or an interpreter fails.
+Each PYTHON is the name or path of an interpreter (3.10 or later), looked up
+once on PATH; it needs only the standard library, since the engine's run path
+imports no third-party module.  Exits 1 when a digest differs from its pin or
+an interpreter is not found or fails.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -47,7 +49,15 @@ def main(argv) -> int:
         return 2
     pinned = json.loads((ROOT / "scenarios" / "pilot.json").read_text())["trace_sha256"]
     status = 0
-    for python in argv:
+    for name in argv:
+        # one absolute path for both calls: the digest child's environment
+        # has no PATH, so it would look a bare name up elsewhere
+        python = shutil.which(name)
+        if python is None:
+            print(f"{name}: not found")
+            status = 1
+            continue
+        python = str(Path(python).absolute())
         try:
             version = subprocess.run([python, "-c", "import platform; print(platform.python_version())"],
                                      capture_output=True, text=True, check=True).stdout.strip()

@@ -20,10 +20,10 @@ from math import comb
 from .epistemics import AgentState
 from .rng import fold, mix
 from .universe import (
+    Clause,
     Theory,
     _models,
     canonical_texts,
-    clause,
     extended_texts,
     literal_masks,
     mask_bits,
@@ -62,11 +62,13 @@ def symmetry_score(theory: Theory) -> int:
 
 
 def _fixes(a, b, clauses, member) -> bool:
-    """Whether the transposition (a b) maps each of `clauses`, every clause of
-    a and of b, to a clause for which `member` holds: whether it fixes that
-    clause set, since it is injective and fixes every clause without a or b."""
-    swap = {a: b, b: a}
-    return all(member(frozenset((swap.get(p, p), pol) for p, pol in k)) for k in clauses)
+    """Whether the transposition (a b) maps each of `clauses`, the masks of
+    every clause of a and of b, to a clause for which `member` holds: whether
+    it fixes that clause set, since it is injective and fixes every clause
+    without a or b.  It swaps bits a and b in both masks of a clause."""
+    both = 1 << a | 1 << b
+    swap = lambda m: m ^ both if (m & both) not in (0, both) else m
+    return all(member((swap(pos), swap(neg))) for pos, neg in clauses)
 
 
 # the views one aesthetic ranking keeps: where each candidate drops another
@@ -76,7 +78,7 @@ _VIEWS = 1 << 12
 
 def _symmetry_delta(predicates, base, gone=0):
     """`score(added=None, dropped=0)`: the number of transpositions of two of
-    `predicates` that fix the clause set `base` with the clause literals
+    `predicates` that fix the clause set `base` with the clause of masks
     `added` (absent from `base`) or without the clauses whose bits are set in
     the mask `dropped`;
     with an empty delta, the symmetry score of `base` (Crawford, Ginsberg,
@@ -87,12 +89,12 @@ def _symmetry_delta(predicates, base, gone=0):
     A transposition (a b) fixing a clause set maps the clauses of a onto those
     of b, so a and b have equal signatures, the sorted (polarity, clause
     length) over their clauses.  Two predicates that share a clause never have
-    equal orbit keys (each clause with the predicate replaced by a
-    placeholder): none of a's faces mentions a, and b's face of the shared
-    clause does.  Partners sharing no clause fix the set exactly when their
-    keys are equal, and are counted per key; only those sharing a clause are
-    tried.  So `fixing[a]` counts each of a's fixing partners once, and the
-    base score is half the sum over all a.
+    equal orbit keys, the faces of their clauses (`_orbit_face`: both masks
+    with the predicate's bit cleared, and its polarity): none of a's faces has
+    bit a, and b's face of the shared clause does.  Partners sharing no clause
+    fix the set exactly when their keys are equal, and are counted per key;
+    only those sharing a clause are tried.  So `fixing[a]` counts each of a's
+    fixing partners once, and the base score is half the sum over all a.
 
     The delta's predicates are those of the added or dropped clauses.  A
     transposition that moves none of them fixes each delta clause, so it fixes
@@ -104,42 +106,30 @@ def _symmetry_delta(predicates, base, gone=0):
     delta, plus those of the new set.  A predicate outside the delta keeps its
     clauses, so it shares a clause with a delta predicate in the new set
     exactly when it does in `base`."""
-    lits = [c.literals for c in base]
-    index = {k: i for i, k in enumerate(lits) if not gone >> i & 1}
+    masks = [c.masks for c in base]
+    index = {k: i for i, k in enumerate(masks) if not gone >> i & 1}
     touching = dict.fromkeys(predicates, 0)  # p -> bit i for each clause i of p
     for i in index.values():
-        for p, _ in lits[i]:
+        for p in mask_bits(base[i].mask):
             touching[p] |= 1 << i
     views = {}
-    faces = {}  # (i, a) -> the face of clause i for a, and a's (polarity, length) in it
-
-    def face(i, a):
-        f = faces.get((i, a))
-        if f is None:
-            k = lits[i]
-            f = faces[i, a] = (_orbit_face(k, a), (dict(k)[a], len(k)))
-        return f
 
     def view(a, mask):
         """a's clauses among those of `mask`, its orbit key (each clause with
         a replaced by a placeholder) and its signature (the sorted (polarity,
-        length) of each); the same few subsets recur across candidates, and
-        each clause's face is built once."""
+        length) of each); the same few subsets recur across candidates."""
         v = views.get((a, mask))
         if v is None:
             if len(views) == _VIEWS:
                 views.clear()
-            bits = mask_bits(mask)
-            parts = [face(i, a) for i in bits]
-            v = views[a, mask] = (
-                [lits[i] for i in bits],
-                frozenset([f for f, _ in parts]),
-                tuple(sorted([s for _, s in parts])),
-            )
+            clauses = [masks[i] for i in mask_bits(mask)]
+            faces = [_orbit_face(k, a) for k in clauses]
+            sig = tuple(sorted([(f[2], (k[0] | k[1]).bit_count()) for f, k in zip(faces, clauses)]))
+            v = views[a, mask] = (clauses, frozenset(faces), sig)
         return v
 
     old = {p: view(p, m) for p, m in touching.items()}
-    partners = {a: {q for k in clauses for q, _ in k if q != a}
+    partners = {a: {q for pos, neg in clauses for q in mask_bits(pos | neg) if q != a}
                 for a, (clauses, _, _) in old.items()}
     count = Counter(key for _, key, _ in old.values())
     member = index.__contains__
@@ -156,17 +146,18 @@ def _symmetry_delta(predicates, base, gone=0):
         if added is None:
             dropped &= ~gone
             new = {a: view(a, touching[a] & ~dropped)
-                   for i in mask_bits(dropped) for a, _ in lits[i]}
+                   for i in mask_bits(dropped) for a in mask_bits(base[i].mask)}
 
             def new_member(k):
                 i = index.get(k)
                 return i is not None and not dropped >> i & 1
         else:
             new = {}
-            for a, pol in added:
+            size = (added[0] | added[1]).bit_count()
+            for a in mask_bits(added[0] | added[1]):
                 clauses, key, sig = old[a]
-                new[a] = (clauses + [added], key | {_orbit_face(added, a)},
-                          tuple(sorted(sig + ((pol, len(added)),))))
+                f = _orbit_face(added, a)
+                new[a] = (clauses + [added], key | {f}, tuple(sorted(sig + ((f[2], size),))))
             new_member = lambda k: k == added or k in index
         # the base's fixing pairs within the delta, counted twice in `fixing`:
         # those with equal keys and those sharing a clause
@@ -197,8 +188,9 @@ def _symmetry_delta(predicates, base, gone=0):
 
 
 def _orbit_face(k, p):
-    """The clause literals `k` with the predicate p replaced by a placeholder."""
-    return frozenset((None if q == p else q, pol) for q, pol in k)
+    """The clause of masks `k` with the predicate p replaced by a placeholder:
+    both masks with bit p cleared, and p's polarity in the clause."""
+    return k[0] & ~(1 << p), k[1] & ~(1 << p), k[0] >> p & 1 == 1
 
 
 def _fixing_pairs(views, member) -> int:
@@ -209,7 +201,7 @@ def _fixing_pairs(views, member) -> int:
     are tried, each pair once."""
     total = sum(k * (k - 1) // 2 for k in Counter(key for _, key, _ in views.values()).values())
     for a, (clauses, _, sig) in views.items():
-        for b in {q for k in clauses for q, _ in k if q > a and q in views}:
+        for b in {q for pos, neg in clauses for q in mask_bits(pos | neg) if q > a and q in views}:
             kb, _, sig_b = views[b]
             if sig_b == sig and _fixes(a, b, clauses + kb, member):
                 total += 1
@@ -251,10 +243,10 @@ def _strategy_key(strategy: RevisionStrategy, predicates, base, dropped=None, te
         return lambda c: fold(seed, int.from_bytes(sha256(text(c).encode()).digest()[:8], "big"))
     if kind is StrategyKind.HEURISTIC:
         if dropped is None:
-            return lambda c: len(c.literals)
+            return lambda c: c.mask.bit_count()
         classes = defaultdict(int)  # literal count -> mask of the base clauses with it
         for i, c in enumerate(base):
-            classes[len(c.literals)] |= 1 << i
+            classes[c.mask.bit_count()] |= 1 << i
         classes = list(classes.items())
 
         def literals_dropped(c):
@@ -264,7 +256,7 @@ def _strategy_key(strategy: RevisionStrategy, predicates, base, dropped=None, te
         return literals_dropped
     score = _symmetry_delta(predicates, base, common)
     if dropped is None:
-        return lambda c: -score(added=c.literals)
+        return lambda c: -score(added=c.masks)
     return lambda c: -score(dropped=dropped(c))
 
 
@@ -526,27 +518,26 @@ def _bridging_candidates(theory: Theory, new_pred: int, old_preds):
     consistent, as `revise` keeps it, so each option is first read against
     its unit masks: one with a literal that a unit asserts is consistent, one
     whose literals units both deny is not, and only the rest are decided on
-    clause masks without building the extended theory."""
-    present = set(theory.clauses)
+    clause masks without building the extended theory; only the consistent
+    options, mask pairs until then, are built as clauses."""
+    held = [c.masks for c in theory.clauses]
+    present = set(held)
     held_true, held_false = theory.units
-    held = None
+    new = 1 << new_pred
     out = []
     for r in sorted(old_preds):
         if r == new_pred:
             continue
-        for new_pol in (True, False):
-            for old_pol in (True, False):
-                c = clause((new_pred, new_pol), (r, old_pol))
-                if c in present:
-                    continue
-                pos, neg = c.masks
-                if pos & held_true or neg & held_false:
-                    out.append(c)
-                elif pos & ~held_false or neg & ~held_true:
-                    if held is None:
-                        held = [k.masks for k in theory.clauses]
-                    if satisfiable(held + [c.masks]):
-                        out.append(c)
+        old = 1 << r
+        # (new | old), (new | ~old), (~new | old), (~new | ~old)
+        for option in ((new | old, 0), (new, old), (old, new), (0, new | old)):
+            if option in present:
+                continue
+            pos, neg = option
+            if pos & held_true or neg & held_false or (
+                (pos & ~held_false or neg & ~held_true) and satisfiable(held + [option])
+            ):
+                out.append(Clause(option))
     return out
 
 

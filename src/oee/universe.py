@@ -7,7 +7,7 @@ telling apart an agent's draws within one tick, so that agent observation
 never perturbs Nature's stream.
 
 Clauses, theories and models are integers on the hot path, bit p for
-predicate p.  A clause carries its (pos_mask, neg_mask) and its predicate
+predicate p.  A clause is its (pos_mask, neg_mask), and carries its predicate
 mask; a theory carries its predicate mask, the masks of its unit clauses, and
 a consistency verdict decided once per object.  One procedure decides clause
 sets: `solutions`, unit propagation and a split, which yields disjoint cubes
@@ -85,6 +85,9 @@ class State:
 # a clause mask has a bit per index up to its largest (125 KB here); runs reveal
 # one predicate per emergence tick past at most 20,000 initial ones
 MAX_PREDICATE_INDEX = 1_000_000
+# clause hashes read masks modulo this prime, below 2^61 - 1 (Python's own int
+# modulus, where bits p and p + 61 agree): 2 has order past MAX_PREDICATE_INDEX
+_HASH_PRIME = 0x1629F6FBD82C07D7
 
 
 def literal_masks(literals) -> tuple[int, int]:
@@ -119,51 +122,57 @@ def mask_bits(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, slots=True)
 class Clause:
-    """Disjunction of literals (predicate, polarity).  `masks` is its integer
-    form (pos_mask, neg_mask) and `mask` their union, bit p for predicate p;
-    the hash is computed once."""
+    """Disjunction of literals (predicate, polarity), held as `masks`, its
+    (pos_mask, neg_mask), which equality and the hash follow.  `mask`, their
+    union, and the hash are computed once; the literal views are derived."""
 
-    literals: frozenset[tuple[int, bool]]
-    masks: tuple[int, int] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, int]
     mask: int = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.literals:
+        pos, neg = self.masks
+        mask = pos | neg
+        # a negative mask shifts to -1: it has bits past every index
+        if mask >> (MAX_PREDICATE_INDEX + 1):
+            raise ValueError(f"clause mask bits lie outside 0..{MAX_PREDICATE_INDEX} "
+                             f"(universe.MAX_PREDICATE_INDEX)")
+        if not mask:
             raise ValueError("clause must be nonempty")
-        pos, neg = literal_masks(self.literals)
         if pos & neg:
             raise ValueError("clause may not mention a predicate with both polarities")
-        object.__setattr__(self, "masks", (pos, neg))
-        object.__setattr__(self, "mask", pos | neg)
-        object.__setattr__(self, "_hash", hash((self.literals,)))
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_hash", hash((pos % _HASH_PRIME, neg % _HASH_PRIME)))
 
     def __hash__(self):
         return self._hash
 
+    @property
+    def literals(self) -> tuple[tuple[int, bool], ...]:
+        return tuple([(p, self.masks[0] >> p & 1 == 1) for p in mask_bits(self.mask)])
+
     def predicates(self) -> frozenset[int]:
-        return frozenset(p for p, _ in self.literals)
+        return frozenset(mask_bits(self.mask))
 
     def satisfied_by(self, state: State) -> bool:
         return any(state.value(p) == pol for p, pol in self.literals)
 
     def render(self) -> str:
-        parts = [("p%d" % p) if pol else ("~p%d" % p) for p, pol in sorted(self.literals)]
-        return " | ".join(parts) if len(parts) > 1 else parts[0]
+        return " | ".join([("p%d" % p) if pol else ("~p%d" % p) for p, pol in self.literals])
 
     def sort_key(self):
-        return tuple(sorted(self.literals))
+        return self.literals
 
 
 def clause(*literals: tuple[int, bool]) -> Clause:
-    return Clause(frozenset(literals))
+    return Clause(literal_masks(literals))
 
 
 # clauses are immutable, so one object serves every call; revision builds the
 # unit of each observed literal on each call
 @lru_cache(maxsize=1 << 12)
 def unit(predicate: int, value: bool) -> Clause:
-    return Clause(frozenset(((predicate, value),)))
+    return clause((predicate, value))
 
 
 @dataclass(frozen=True, slots=True)
@@ -484,14 +493,14 @@ class UniverseGenerator:
         pool = list(self._order)
         for _ in range(size):
             chosen.append(pool.pop(self._rng.randrange(len(pool))))
-        literals = [(p, bool(self._rng.next_u64() & 1)) for p in sorted(chosen)]
-        candidate = Clause(frozenset(literals))
+        pos, neg = literal_masks((p, self._rng.next_u64() & 1) for p in sorted(chosen))
         true = self._true
-        if not (candidate.masks[0] & true or candidate.masks[1] & ~true):
-            # force one literal to agree with the actual state
-            p, _ = literals[self._rng.randrange(len(literals))]
-            literals = [(q, true >> q & 1 == 1 if q == p else pol) for q, pol in literals]
-            candidate = Clause(frozenset(literals))
+        if not (pos & true or neg & ~true):
+            # every literal disagrees with the actual state: flip one to agree
+            bit = 1 << mask_bits(pos | neg)[self._rng.randrange(size)]
+            pos ^= bit
+            neg ^= bit
+        candidate = Clause((pos, neg))
         if candidate not in self._clauses:
             self._clauses.append(candidate)
         return NoveltyEvent(NoveltyKind.INNOVATION, clause=candidate)

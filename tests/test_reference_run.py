@@ -11,7 +11,9 @@ scenarios.
 """
 
 import hashlib
+import importlib.util
 import json
+import subprocess
 from fractions import Fraction
 from functools import reduce
 from operator import and_
@@ -174,6 +176,35 @@ def test_reference_run_reproduces_the_aesthetic_pin(tmp_path):
 MAX_REVEALED = 10
 # S_2 over 3 predicates holds 3,303 sentences
 MAX_REVEALED_AT_DEPTH_2 = 3
+
+
+def test_determinism_script_runs_the_interpreter_it_names(tmp_path, monkeypatch, capsys):
+    """`scripts/determinism.py` looks each interpreter name up once on PATH
+    and runs the version probe and the digest child with that one absolute
+    path; a name not on PATH exits 1 and runs nothing."""
+    path = ROOT / "scripts" / "determinism.py"
+    spec = importlib.util.spec_from_file_location("determinism", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    python = tmp_path / "fakepython"
+    python.write_text("#!/bin/sh\n")
+    python.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    pinned = PILOT["trace_sha256"]
+    ran = []
+
+    def fake_run(cmd, **kwargs):
+        ran.append(cmd[0])
+        out = "".join(f"{n} {pinned[n]}\n" for n in cmd[4:]) if cmd[2] == script.CHILD else "3.11.7\n"
+        return subprocess.CompletedProcess(cmd, 0, out, "")
+
+    monkeypatch.setattr(script.subprocess, "run", fake_run)
+    assert script.main(["fakepython"]) == 0
+    assert ran == [str(python), str(python)]
+    assert capsys.readouterr().out.count("\tpinned") == len(pinned)
+    assert script.main(["nosuchpython"]) == 1
+    assert ran == [str(python), str(python)]
+    assert capsys.readouterr().out == "nosuchpython: not found\n"
 
 
 def ticks_within(data, limit: int) -> int:

@@ -101,7 +101,7 @@ def reference_symmetry_score(theory: Theory) -> int:
     for a, b in combinations(preds, 2):
         swap = {a: b, b: a}
         swapped = frozenset(
-            Clause(frozenset((swap.get(p, p), pol) for p, pol in c.literals))
+            clause(*((swap.get(p, p), pol) for p, pol in c.literals))
             for c in clause_set
         )
         if swapped == clause_set:
@@ -289,10 +289,17 @@ def parent_revise(agent, observations, strategy: RevisionStrategy) -> Theory:
 # --- generators ----------------------------------------------------------------
 
 PREDICATES = range(8)
+# a second pool, whose transpositions swap bits across 64-bit words
+WIDE_PREDICATES = (0, 1, 63, 64, 65, 127, 128, 200)
 
-literal_sets = st.dictionaries(
-    st.sampled_from(PREDICATES), st.booleans(), min_size=1, max_size=3
-).map(lambda d: Clause(frozenset(d.items())))
+
+def clauses_over(pool):
+    return st.dictionaries(
+        st.sampled_from(pool), st.booleans(), min_size=1, max_size=3
+    ).map(lambda d: clause(*d.items()))
+
+
+literal_sets = clauses_over(PREDICATES)
 
 
 def true_at(state, clauses):
@@ -300,20 +307,20 @@ def true_at(state, clauses):
     literal flipped, so that every clause is true there."""
     return list(dict.fromkeys(
         c if any(state[p] == pol for p, pol in c.literals)
-        else Clause(frozenset((p, state[p] if p == min(c.predicates()) else pol)
-                              for p, pol in c.literals))
+        else clause(*((p, state[p] if p == min(c.predicates()) else pol)
+                       for p, pol in c.literals))
         for c in clauses
     ))
 
 
 @st.composite
-def theories(draw):
-    clauses = draw(st.lists(literal_sets, max_size=10, unique=True))
+def theories(draw, pool=PREDICATES):
+    clauses = draw(st.lists(clauses_over(pool), max_size=10, unique=True))
     if draw(st.booleans()):
         # like an agent's theory: true at some state, so consistent
-        state = draw(st.fixed_dictionaries({p: st.booleans() for p in PREDICATES}))
+        state = draw(st.fixed_dictionaries({p: st.booleans() for p in pool}))
         clauses = true_at(state, clauses)
-    extra = draw(st.sets(st.sampled_from(PREDICATES), max_size=2))
+    extra = draw(st.sets(st.sampled_from(pool), max_size=2))
     preds = frozenset(extra).union(*(c.predicates() for c in clauses))
     return Theory(preds, tuple(clauses))
 
@@ -470,7 +477,7 @@ def test_bridging_verdicts_match_models(theory, data):
 # predicates past 9, where "p10" sorts before "p2" as text
 wide_clauses = st.dictionaries(
     st.integers(0, 12), st.booleans(), min_size=1, max_size=3
-).map(lambda d: Clause(frozenset(d.items())))
+).map(lambda d: clause(*d.items()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -601,25 +608,37 @@ def test_sixty_new_predicates_bridge_as_the_parent_does():
 
 def transposed(c: Clause, a: int, b: int) -> Clause:
     swap = {a: b, b: a}
-    return Clause(frozenset((swap.get(p, p), pol) for p, pol in c.literals))
+    return clause(*((swap.get(p, p), pol) for p, pol in c.literals))
 
 
 @st.composite
-def symmetric_theories(draw, swaps=1):
+def symmetric_theories(draw, swaps=1, pool=PREDICATES):
     """Theories closed under a transposition, so that some score above 0: the
     clauses are closed under each of `swaps` transpositions in turn."""
-    theory = draw(theories())
+    theory = draw(theories(pool))
     clauses, preds = theory.clauses, theory.predicates
     for _ in range(swaps):
-        a, b = draw(st.lists(st.sampled_from(PREDICATES), min_size=2, max_size=2, unique=True))
+        a, b = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True))
         clauses = tuple(dict.fromkeys(clauses + tuple(transposed(c, a, b) for c in clauses)))
         preds = preds | {a, b}
     return Theory(preds, clauses)
 
 
+def scored_theories(pool):
+    """A theory over `pool`, drawn as it is or closed under one or two
+    transpositions, with the pool."""
+    return st.tuples(st.just(pool), theories(pool) | symmetric_theories(pool=pool)
+                     | symmetric_theories(swaps=2, pool=pool))
+
+
+# each input is drawn over one of the two pools
+pooled_theories = st.sampled_from([PREDICATES, WIDE_PREDICATES]).flatmap(scored_theories)
+
+
 @settings(max_examples=300, deadline=None)
-@given(theories() | symmetric_theories() | symmetric_theories(swaps=2))
-def test_symmetry_score_matches_brute_force(theory):
+@given(pooled_theories)
+def test_symmetry_score_matches_brute_force(case):
+    _, theory = case
     assert symmetry_score(theory) == reference_symmetry_score(theory)
 
 
@@ -627,15 +646,17 @@ AESTHETIC = RevisionStrategy(StrategyKind.AESTHETIC)
 
 
 @settings(max_examples=300, deadline=None)
-@given(theories() | symmetric_theories() | symmetric_theories(swaps=2), st.data())
-def test_aesthetic_bridge_score_matches_symmetry_score(theory, data):
+@given(pooled_theories, st.data())
+def test_aesthetic_bridge_score_matches_symmetry_score(case, data):
     """The aesthetic key of an added clause, scored by its delta, is minus
     the brute-force symmetry score of the theory plus the clause.  The clauses
     are drawn at random and as transposed images of the theory's clauses, so
     that adding one can complete a symmetry as well as break one."""
-    images = [transposed(c, a, b) for c in theory.clauses for a, b in combinations(PREDICATES, 2)]
+    pool, theory = case
+    images = [transposed(c, a, b) for c in theory.clauses for a, b in combinations(pool, 2)]
+    drawn = clauses_over(pool)
     added = data.draw(st.lists(
-        (st.sampled_from(images) | literal_sets) if images else literal_sets,
+        (st.sampled_from(images) | drawn) if images else drawn,
         min_size=1, max_size=8, unique=True))
     added = [c for c in added if c not in theory.clauses]
     assume(added)
@@ -646,11 +667,12 @@ def test_aesthetic_bridge_score_matches_symmetry_score(theory, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(theories() | symmetric_theories() | symmetric_theories(swaps=2), st.data())
-def test_aesthetic_repair_score_matches_symmetry_score(theory, data):
+@given(pooled_theories, st.data())
+def test_aesthetic_repair_score_matches_symmetry_score(case, data):
     """The aesthetic key of a dropped clause set, scored by its delta, is minus
     the brute-force symmetry score of the kept clauses.  Half the sets drop
     every clause of some predicate, which stays in the theory with no clause."""
+    _, theory = case
     n = len(theory.clauses)
     assume(n)
     mentioned = sorted(set().union(*(c.predicates() for c in theory.clauses)))
@@ -811,7 +833,7 @@ def repair_cases(draw):
              .map(lambda t: t[0] + [t[1]])
              | st.tuples(fails, st.lists(other, min_size=1, max_size=2)).map(lambda t: [t[0]] + t[1])
              | st.lists(other, min_size=1, max_size=2))
-    clauses = list(dict.fromkeys(Clause(frozenset(dict(k).items()))
+    clauses = list(dict.fromkeys(clause(*dict(k).items())
                                  for k in draw(st.lists(kinds, max_size=10))))
     if draw(st.booleans()):
         clauses = true_at(draw(st.fixed_dictionaries({p: st.booleans() for p in range(7)})),

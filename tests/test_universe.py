@@ -67,8 +67,10 @@ def test_state_restrict_and_update():
 
 
 def test_clause_invariants():
-    with pytest.raises(ValueError):
-        Clause(frozenset())
+    with pytest.raises(ValueError, match="nonempty"):
+        clause()
+    with pytest.raises(ValueError, match="nonempty"):
+        Clause((0, 0))
     with pytest.raises(ValueError):
         clause((0, True), (0, False))
     c = clause((0, True), (1, False))
@@ -80,26 +82,68 @@ def test_clause_masks():
     c = clause((0, True), (5, False), (60, True))
     assert c.masks == (1 | 1 << 60, 1 << 5)
     assert unit(3, False).masks == (0, 1 << 3)
-    # computed, not passed: equality, hashing and repr ignore the masks
+    # the masks are the one init field: equality, hashing and repr follow
+    # them, whatever order the literals came in
+    assert Clause((1 | 1 << 60, 1 << 5)) == c
+    assert c == clause((60, True), (0, True), (5, False))
+    assert hash(c) == hash(clause((60, True), (0, True), (5, False)))
+    assert repr(c) == f"Clause(masks={c.masks!r})"
+    # both masks are hashed, and not modulo 2^61 - 1, where bits 61 apart agree
+    assert hash(clause((0, True), (5, False))) != hash(clause((0, True), (6, False)))
+    assert hash(unit(1, True)) != hash(unit(62, True)) != hash(unit(123, True))
+    # `mask` is derived, not passed, and immutable
     with pytest.raises(TypeError):
-        Clause(frozenset({(0, True)}), (1, 0))
+        Clause((1, 0), 1)
+    with pytest.raises(TypeError):
+        Clause(masks=(1, 0), mask=1)
+    with pytest.raises(AttributeError):
+        c.mask = 0
     with pytest.raises(AttributeError):
         c.masks = (0, 0)
     assert c.mask == 1 | 1 << 5 | 1 << 60
-    assert c == clause((60, True), (0, True), (5, False))
-    assert hash(c) == hash(clause((60, True), (0, True), (5, False))) == hash((c.literals,))
-    assert "masks" not in repr(c)
 
 
 def test_clause_rejects_negative_predicate():
     with pytest.raises(ValueError, match="predicate index -1 lies outside 0"):
         clause((0, True), (-1, False))
+    # a negative mask has bits past every index; rendering one never ended
+    for masks in ((-1, 0), (0, -2), (1, -1 << 5)):
+        with pytest.raises(ValueError, match=r"universe\.MAX_PREDICATE_INDEX"):
+            Clause(masks)
 
 
 def test_clause_rejects_predicate_past_the_limit():
     assert unit(MAX_PREDICATE_INDEX, True).masks == (1 << MAX_PREDICATE_INDEX, 0)
+    assert Clause((0, 1 << MAX_PREDICATE_INDEX)) == unit(MAX_PREDICATE_INDEX, False)
     with pytest.raises(ValueError, match=f"outside 0..{MAX_PREDICATE_INDEX}"):
         unit(MAX_PREDICATE_INDEX + 1, False)
+    for masks in ((1 << MAX_PREDICATE_INDEX + 1, 0), (1, 3 << MAX_PREDICATE_INDEX)):
+        with pytest.raises(ValueError, match=rf"outside 0..{MAX_PREDICATE_INDEX} "
+                                             r"\(universe\.MAX_PREDICATE_INDEX\)"):
+            Clause(masks)
+
+
+# around the 64-bit word boundaries and the index limit
+VIEW_INDICES = (0, 1, 2, 3, 62, 63, 64, 65, 66, 127, 128, MAX_PREDICATE_INDEX)
+literal_dicts = st.dictionaries(st.sampled_from(VIEW_INDICES), st.booleans(),
+                                min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(literal_dicts, st.data())
+def test_clause_views_match_their_literal_set_definitions(literals, data):
+    """Each view derived from the masks equals its definition over the
+    literal set; clauses are equal, and hash equal, exactly when their
+    literal sets are, whatever order their literals came in."""
+    other = data.draw(literal_dicts | st.just(dict(reversed(literals.items()))))
+    c, k = clause(*literals.items()), clause(*other.items())
+    ordered = tuple(sorted(literals.items()))
+    assert c.literals == c.sort_key() == ordered
+    assert c.render() == " | ".join(f"p{p}" if pol else f"~p{p}" for p, pol in ordered)
+    assert c.predicates() == frozenset(literals)
+    same = frozenset(literals.items()) == frozenset(other.items())
+    assert (c == k) == same
+    assert (hash(c) == hash(k)) == same
 
 
 def test_theory_invariants():
@@ -151,7 +195,7 @@ def sparse_theories(draw):
     preds = sorted(draw(st.sets(st.integers(0, 60), min_size=1, max_size=8)))
     literal = st.tuples(st.sampled_from(preds), st.booleans())
     clauses = [
-        Clause(frozenset(dict(lits).items()))
+        clause(*dict(lits).items())
         for lits in draw(st.lists(st.lists(literal, min_size=1, max_size=3), max_size=10))
     ]
     if draw(st.booleans()):
@@ -181,7 +225,7 @@ def reference_validation(predicates, clauses) -> bool:
 @settings(max_examples=400, deadline=None)
 @given(st.frozensets(st.integers(0, 70), max_size=8),
        st.lists(st.dictionaries(st.integers(0, 70), st.booleans(), min_size=1, max_size=3)
-                .map(lambda d: Clause(frozenset(d.items()))), max_size=6))
+                .map(lambda d: clause(*d.items())), max_size=6))
 def test_theory_validation_matches_the_frozenset_check(predicates, clauses):
     clauses = tuple(clauses)
     if not reference_validation(predicates, clauses):
